@@ -19,7 +19,7 @@ from .model import (
     param_count,
     save_checkpoint,
 )
-from .spectral import dct, dft_symmetric_extension_oracle, idct, windowed_dct
+from .spectral import dct, dft_symmetric_extension_oracle, idct
 from .train import RunReport, TrainConfig, evaluate, run_length_sweep, train
 
 __version__ = "0.1.0"
@@ -55,5 +55,4 @@ __all__ = [
     "run_length_sweep",
     "save_checkpoint",
     "train",
-    "windowed_dct",
 ]

@@ -19,8 +19,10 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,48 +70,6 @@ class DiffArray:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # operator sugar; scalars and ndarrays are lifted to untracked arrays
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def swapaxes(self, a: int, b: int):
-        return swapaxes(self, a, b)
 
 
 def parameter(values) -> DiffArray:
@@ -258,114 +218,84 @@ def matmul(a, b) -> DiffArray:
     return _node(out, (a, b), backprop)
 
 
+def same_conv_matrix(taps, length: int) -> DiffArray:
+    """Banded (Toeplitz) [length, length] matrix of a same-padded cross-correlation.
+
+    ``(M @ v)[i] = sum_j taps[j] * v[i + j - (K - 1) // 2]``, with zeros
+    outside ``v``; ``taps`` holds the K taps in any shape (read flattened).
+    The matrix is a gather from the taps, so its gradient is a bincount
+    over the gather index.
+    """
+    taps = _lift(taps)
+    ksize = taps.size
+    index = _same_conv_index(ksize, int(length))
+    out = np.append(taps.values.reshape(-1), 0.0)[index]
+
+    def backprop(g):
+        grad = np.bincount(index.reshape(-1), weights=g.reshape(-1), minlength=ksize + 1)
+        _accum(taps, grad[:ksize].reshape(taps.shape))
+
+    return _node(out, (taps,), backprop)
+
+
+@lru_cache(maxsize=32)
+def _same_conv_index(ksize: int, length: int) -> Array:
+    """Tap index j of each matrix entry [i, c]; ``ksize`` marks a zero entry."""
+    pos = np.arange(length)
+    index = pos[None, :] - pos[:, None] + (ksize - 1) // 2
+    index[(index < 0) | (index >= ksize)] = ksize
+    index.setflags(write=False)
+    return index
+
+
 def conv1d(x, kernels, padding: str = "same", groups: int = 1) -> DiffArray:
-    """Grouped 1-D cross-correlation along the last axis.
+    """Depthwise same-padded 1-D cross-correlation along the last axis.
 
     Parameters
     ----------
-    x : DiffArray or array, shape [..., C_in, L]
-    kernels : DiffArray or array, shape [C_out, C_in // groups, K]
-    padding : "same" (output length == L, stride 1) or "valid"
-    groups : channel groups; groups == C_in gives a depthwise convolution
+    x : DiffArray or array, shape [..., C, L]
+    kernels : DiffArray or array, shape [C, 1, K], one kernel per channel
+    padding : only "same" (output length == L, stride 1)
+    groups : must equal C
+
+    Every other fixed convolution in the model runs as a matmul against
+    :func:`same_conv_matrix`; any other mode raises :class:`ConfigError`.
     """
     x, k = _lift(x), _lift(kernels)
     if x.values.ndim < 2:
         raise DimensionError(f"conv1d: input needs (channels, length) dims, got {x.shape}")
     if k.values.ndim != 3:
-        raise DimensionError(f"conv1d: kernels need (C_out, C_in/groups, K) dims, got {k.shape}")
-    c_in, length = x.shape[-2], x.shape[-1]
-    c_out, c_in_g, ksize = k.shape
-    if groups < 1 or c_in % groups or c_out % groups:
+        raise DimensionError(f"conv1d: kernels need (C, 1, K) dims, got {k.shape}")
+    channels, length = x.shape[-2], x.shape[-1]
+    if padding != "same" or groups != channels or k.shape[:2] != (channels, 1):
         raise ConfigError(
-            f"conv1d: groups={groups} must divide input channels {c_in} "
-            f"and output channels {c_out}"
+            f"conv1d: only the depthwise 'same' mode is supported (kernels [C, 1, K], "
+            f"groups == C); got padding={padding!r}, groups={groups}, kernels {k.shape} "
+            f"for {channels} input channels"
         )
-    if c_in_g != c_in // groups:
-        raise DimensionError(
-            f"conv1d: kernel shape {k.shape} inconsistent with {c_in} input "
-            f"channels split into {groups} groups"
-        )
-    if padding == "same":
-        total = ksize - 1
-    elif padding == "valid":
-        total = 0
-    else:
-        raise ConfigError(f"conv1d: unknown padding mode {padding!r}")
-    if ksize > length + total:
-        raise DimensionError(
-            f"conv1d: kernel size {ksize} exceeds padded length {length + total}"
-        )
-    left = total // 2
-    l_out = length + total - ksize + 1
-    batch = x.shape[:-2]
-    c_out_g = c_out // groups
-    single_lane = c_in_g == 1 and c_out_g == 1  # one kernel tap per group
-    pointwise = ksize == 1 and groups == 1
-
-    xg = x.values.reshape((-1, groups, c_in_g, length))
-    if total:
-        xg = np.pad(xg, ((0, 0), (0, 0), (0, 0), (left, total - left)))
-    kg = k.values.reshape(groups, c_out_g, c_in_g, ksize)
-
-    if single_lane:
-        taps = kg.reshape(groups, ksize)
-        xf = xg.reshape(-1, groups, length + total)
-        y = np.zeros((xf.shape[0], groups, l_out))
-        for dk in range(ksize):
-            y += xf[..., dk : dk + l_out] * taps[:, dk][:, None]
-        out = y.reshape(batch + (c_out, l_out))
-    elif pointwise:
-        k2 = kg.reshape(c_out, c_in)
-        out = np.matmul(k2, xg.reshape(-1, c_in, length)).reshape(batch + (c_out, l_out))
-    else:
-        y = np.zeros((xg.shape[0], groups, c_out_g, l_out))
-        for dk in range(ksize):
-            y += np.einsum("bgcl,goc->bgol", xg[..., dk : dk + l_out], kg[..., dk])
-        out = y.reshape(batch + (c_out, l_out))
+    ksize = k.shape[-1]
+    left = (ksize - 1) // 2
+    taps = k.values.reshape(channels, ksize)
+    xp = np.pad(x.values.reshape(-1, channels, length),
+                ((0, 0), (0, 0), (left, ksize - 1 - left)))
+    y = np.zeros((xp.shape[0], channels, length))
+    for j in range(ksize):
+        y += xp[..., j : j + length] * taps[:, j][:, None]
 
     def backprop(g):
-        if single_lane:
-            gg = g.reshape((-1, groups, l_out))
-            xf = xg.reshape(-1, groups, length + total)
-            taps = kg.reshape(groups, ksize)
-            if x.requires_grad:
-                dxp = np.zeros_like(xf)
-                for dk in range(ksize):
-                    dxp[..., dk : dk + l_out] += gg * taps[:, dk][:, None]
-                if total:
-                    dxp = dxp[..., left : left + length]
-                _accum(x, dxp.reshape(x.shape))
-            if k.requires_grad:
-                dk_arr = np.zeros((groups, ksize))
-                for dk in range(ksize):
-                    dk_arr[:, dk] = np.sum(gg * xf[..., dk : dk + l_out], axis=(0, 2))
-                _accum(k, dk_arr.reshape(k.shape))
-            return
-        if pointwise:
-            gg = g.reshape((-1, c_out, l_out))
-            xf = xg.reshape(-1, c_in, length)
-            k2 = kg.reshape(c_out, c_in)
-            if x.requires_grad:
-                _accum(x, np.matmul(k2.T, gg).reshape(x.shape))
-            if k.requires_grad:
-                dk2 = np.matmul(gg, xf.transpose(0, 2, 1)).sum(axis=0)
-                _accum(k, dk2.reshape(k.shape))
-            return
-        gg = g.reshape((-1, groups, c_out_g, l_out))
+        gg = g.reshape(-1, channels, length)
         if x.requires_grad:
-            dxp = np.zeros_like(xg)
-            for dk in range(ksize):
-                dxp[..., dk : dk + l_out] += np.einsum("bgol,goc->bgcl", gg, kg[..., dk])
-            if total:
-                dxp = dxp[..., left : left + length]
-            _accum(x, dxp.reshape(x.shape))
+            dxp = np.zeros_like(xp)
+            for j in range(ksize):
+                dxp[..., j : j + length] += gg * taps[:, j][:, None]
+            _accum(x, dxp[..., left : left + length].reshape(x.shape))
         if k.requires_grad:
-            dk_arr = np.zeros_like(kg)
-            for dk in range(ksize):
-                dk_arr[..., dk] = np.einsum("bgcl,bgol->goc", xg[..., dk : dk + l_out], gg)
-            _accum(k, dk_arr.reshape(k.shape))
+            dk = np.zeros((channels, ksize))
+            for j in range(ksize):
+                dk[:, j] = np.sum(gg * xp[..., j : j + length], axis=(0, 2))
+            _accum(k, dk.reshape(k.shape))
 
-    return _node(out, (x, k), backprop)
+    return _node(y.reshape(x.shape), (x, k), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -623,32 +553,56 @@ def save_arrays(path, arrays: dict[str, Array], metadata: dict | None = None) ->
 
 
 def load_arrays(path) -> tuple[dict[str, Array], dict]:
-    """Inverse of :func:`save_arrays`."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    """Inverse of :func:`save_arrays`.
+
+    An unreadable, truncated or malformed file, or one with bytes after
+    its last entry, raises :class:`DataError`.
+    """
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     if raw[:4] != _MAGIC:
         raise DataError(f"{path}: not a ftmixer checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    off = 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if n > len(raw) - off:
+            raise DataError(
+                f"{path}: truncated checkpoint ({n} bytes needed at offset {off}, "
+                f"file has {len(raw)})"
+            )
+        off += n
+        return raw[off - n : off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (version,) = unpack("<I")
     if version != CONTAINER_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", raw, 8)
-    off = 12
-    metadata = json.loads(raw[off : off + meta_len].decode("utf-8"))
-    off += meta_len
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (meta_len,) = unpack("<I")
+    try:
+        metadata = json.loads(take(meta_len))
+    except ValueError as exc:
+        raise DataError(f"{path}: checkpoint metadata is not valid JSON: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise DataError(f"{path}: checkpoint metadata is not a JSON object")
+    (count,) = unpack("<I")
     arrays: dict[str, Array] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off) if ndim else ()
-        off += 4 * ndim
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
-        arrays[name] = arr.astype(np.float64)  # own, writeable copy
+        (name_len,) = unpack("<H")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: checkpoint entry name is not UTF-8") from None
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I") if ndim else ()
+        payload = take(8 * math.prod(shape))
+        # own, writeable copy
+        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    if off != len(raw):
+        raise DataError(f"{path}: {len(raw) - off} unexpected bytes after the last entry")
     return arrays, metadata

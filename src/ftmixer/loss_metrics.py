@@ -52,8 +52,7 @@ def dual_domain_loss(target, prediction) -> LossBreakdown:
         )
     residual = da.sub(prediction, target)
     time_node = da.reduce_mean(da.mul(residual, residual))
-    spec_residual = da.sub(spectral.dct(prediction), spectral.dct(target))
-    freq_node = da.reduce_mean(da.absolute(spec_residual))
+    freq_node = da.reduce_mean(da.absolute(spectral.dct(residual)))
     return LossBreakdown(time_node, freq_node)
 
 

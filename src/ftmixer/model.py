@@ -16,6 +16,13 @@ Data flow for one instance (N channels, lookback L, horizon tau):
 5. a shared linear head maps D_f -> tau per channel, and the instance
    statistics from step 1 are restored
 
+The fixed maps in steps 2 and 3 (cosine bases, the banded matrices of
+the channel and bin convolutions) are folded into the learned matrices
+next to them: the global branch runs as ``idct(T_N(k) @ (x @ (F_L @ W)
++ b))`` and each local scale as ``patches @ ((I + F_w T_w(k)^T F_w^-1)
+@ E_w) + b_w``; the pointwise convolution of step 4 is a matmul.  The
+parameters are the unfolded ones.
+
 All entry points accept an optional leading batch dimension.
 """
 
@@ -28,7 +35,7 @@ import numpy as np
 from . import diffarray as da
 from . import spectral
 from .diffarray import DiffArray
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 
 ABLATIONS = ("full", "no_fcc", "no_wfc", "no_freq_loss", "no_time_loss")
 
@@ -207,10 +214,17 @@ def save_checkpoint(path, params: FtMixerParams, extra_metadata: dict | None = N
 
 
 def load_checkpoint(path) -> tuple[FtMixerParams, dict]:
+    """Parameters and metadata of a checkpoint; any defect raises DataError."""
     arrays, meta = da.load_arrays(path)
-    config = ModelConfig.from_dict(meta["model_config"])
+    try:
+        config = ModelConfig.from_dict(meta["model_config"])
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: missing or malformed model_config: {exc!r}") from None
     entries = {name: da.parameter(arr) for name, arr in arrays.items()}
-    return FtMixerParams(config, entries), meta
+    try:
+        return FtMixerParams(config, entries), meta
+    except ContractError as exc:
+        raise DataError(f"{path}: parameters do not match model_config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +279,9 @@ def fcc_forward(x, params: FtMixerParams, config: ModelConfig) -> DiffArray:
 
     Per-channel spectrum over the full window, shared linear embedding
     L -> D_f, then a same-padded convolution along the channel axis at
-    every embedded position, and an inverse transform over D_f.
+    every embedded position, and an inverse transform over D_f.  Runs as
+    ``idct(T_N(k) @ (x @ (F_L @ W) + b))``: the spectrum folds into the
+    embedding and the channel conv is its banded matrix T_N(k).
     """
     x = da._lift(x)
     if x.shape[-2:] != (config.channels, config.lookback):
@@ -273,15 +289,10 @@ def fcc_forward(x, params: FtMixerParams, config: ModelConfig) -> DiffArray:
             f"fcc_forward: expected [..., {config.channels}, {config.lookback}], "
             f"got {x.shape}"
         )
-    spec_x = spectral.dct(x)
-    embedded = da.add(da.matmul(spec_x, params["fcc_embed_w"]), params["fcc_embed_b"])
-    # [..., N, D_f] -> [..., D_f, 1, N]: the channel axis becomes the conv length
-    lanes = da.swapaxes(embedded, -1, -2)
-    lanes = da.reshape(lanes, lanes.shape[:-1] + (1, config.channels))
-    mixed = da.conv1d(lanes, params["fcc_conv_k"], padding="same")
-    mixed = da.reshape(mixed, mixed.shape[:-2] + (config.channels,))
-    mixed = da.swapaxes(mixed, -1, -2)
-    return spectral.idct(mixed)
+    spectrum_embed = da.matmul(spectral.basis_pair(config.lookback)[0], params["fcc_embed_w"])
+    embedded = da.add(da.matmul(x, spectrum_embed), params["fcc_embed_b"])
+    across = da.same_conv_matrix(params["fcc_conv_k"], config.channels)
+    return spectral.idct(da.matmul(across, embedded))
 
 
 def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
@@ -289,6 +300,8 @@ def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
 
     Non-overlapping patches are transformed, convolved across frequency
     bins, inverted, residually combined with the raw patch, and embedded.
+    All of that but the bias is one [w, D_p] matrix per scale,
+    ``(I + F_w T_w(k)^T F_w^-1) @ E_w``, applied to every patch.
     """
     x = da._lift(x)
     length = x.shape[-1]
@@ -304,12 +317,11 @@ def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
         raise ConfigError(f"wfc_forward: no parameters for scale {scale}") from None
     n = length // scale
     patches = da.reshape(x, x.shape[:-1] + (n, scale))
-    spec_p = spectral.dct(patches)
-    spec_p = da.reshape(spec_p, spec_p.shape[:-1] + (1, scale))
-    mixed = da.conv1d(spec_p, kernel, padding="same")
-    mixed = da.reshape(mixed, mixed.shape[:-2] + (scale,))
-    branch = da.add(spectral.idct(mixed), patches)
-    return da.add(da.matmul(branch, embed_w), embed_b)
+    forward_basis, inverse_basis = spectral.basis_pair(scale)
+    bins = da.swapaxes(da.same_conv_matrix(kernel, scale), 0, 1)  # T_w(k)^T
+    spectral_mix = da.matmul(da.matmul(forward_basis, bins), inverse_basis)
+    patch_map = da.matmul(da.add(np.eye(scale), spectral_mix), embed_w)
+    return da.add(da.matmul(patches, patch_map), embed_b)
 
 
 def depthwise_pointwise(z, params: FtMixerParams, config: ModelConfig) -> DiffArray:
@@ -317,7 +329,8 @@ def depthwise_pointwise(z, params: FtMixerParams, config: ModelConfig) -> DiffAr
 
     Input [..., N, n_tot, D_p]: channels are concatenated along the patch
     axis, a depthwise (groups = D_p) convolution runs along it, then a
-    1x1 pointwise convolution mixes the D_p features.  Shape-preserving.
+    pointwise (1x1) convolution, a matmul, mixes the D_p features.
+    Shape-preserving.
     """
     z = da._lift(z)
     n_tot, dp = config.total_patches, config.patch_embed_dim
@@ -329,7 +342,7 @@ def depthwise_pointwise(z, params: FtMixerParams, config: ModelConfig) -> DiffAr
     joined = da.reshape(z, z.shape[:-3] + (config.channels * n_tot, dp))
     lanes = da.swapaxes(joined, -1, -2)  # [..., D_p, N * n_tot]
     deep = da.conv1d(lanes, params["ds_dw_k"], padding="same", groups=dp)
-    point = da.conv1d(deep, params["ds_pw_k"], padding="same")
+    point = da.matmul(da.reshape(params["ds_pw_k"], (dp, dp)), deep)
     out = da.swapaxes(point, -1, -2)
     return da.reshape(out, z.shape)
 
@@ -363,6 +376,8 @@ def ftmixer_forward(x, params: FtMixerParams, config: ModelConfig,
             f"ftmixer_forward: expected [..., {config.channels}, {config.lookback}], "
             f"got {x.shape}"
         )
+    if not np.all(np.isfinite(x.values)):
+        raise NumericError("ftmixer_forward: input contains non-finite values")
     normalized, state = revin_normalize(x, config.revin_epsilon)
 
     z = None

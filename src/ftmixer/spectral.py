@@ -1,4 +1,4 @@
-"""Exact cosine-transform pair, windowed transforms, and a DFT oracle.
+"""Exact cosine-transform pair and a DFT oracle.
 
 Forward transform (type-II kernel, unnormalized), for k = 0..L-1:
 
@@ -15,7 +15,8 @@ fast-transform code path and keeps gradients trivially exact.
 :func:`dct` and :func:`idct` accept either ndarrays or
 :class:`~ftmixer.diffarray.DiffArray` values and apply the transform
 along the last axis; with a DiffArray input the transform joins the
-computation graph as a fixed linear map.
+computation graph as a fixed linear map.  :func:`basis_pair` exposes the
+bases themselves, which the model folds into its learned matrices.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import diffarray as da
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ContractError, NumericError
 
 Array = np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _basis_pair(length: int) -> tuple[Array, Array]:
+def basis_pair(length: int) -> tuple[Array, Array]:
     """(forward, inverse) bases; y = x @ forward, x = y @ inverse."""
     n = np.arange(length, dtype=np.float64)
     k = np.arange(length, dtype=np.float64)
@@ -54,14 +55,14 @@ def _validate(values: Array, op: str) -> None:
 def _apply_basis(x, which: int, op: str):
     if isinstance(x, da.DiffArray):
         _validate(x.values, op)
-        basis = _basis_pair(x.shape[-1])[which]
+        basis = basis_pair(x.shape[-1])[which]
         if x.values.ndim == 1:
             flat = da.matmul(da.reshape(x, (1, x.shape[-1])), basis)
             return da.reshape(flat, x.shape)
         return da.matmul(x, basis)
     arr = np.asarray(x, dtype=np.float64)
     _validate(arr, op)
-    return arr @ _basis_pair(arr.shape[-1])[which]
+    return arr @ basis_pair(arr.shape[-1])[which]
 
 
 def dct(x):
@@ -72,33 +73,6 @@ def dct(x):
 def idct(c):
     """Inverse transform along the last axis; idct(dct(x)) == x."""
     return _apply_basis(c, 1, "idct")
-
-
-def windowed_dct(x, window: int):
-    """Transform non-overlapping length-``window`` patches independently.
-
-    Input shape [..., L] with L divisible by ``window``; output shape
-    [..., L // window, window], one spectrum per patch.
-    """
-    values = x.values if isinstance(x, da.DiffArray) else np.asarray(x, dtype=np.float64)
-    length = values.shape[-1] if values.ndim else 0
-    if window < 1 or window > length:
-        raise ConfigError(f"windowed_dct: window {window} invalid for length {length}")
-    if length % window:
-        raise ConfigError(f"windowed_dct: window {window} does not divide length {length}")
-    patched_shape = values.shape[:-1] + (length // window, window)
-    if isinstance(x, da.DiffArray):
-        return dct(da.reshape(x, patched_shape))
-    return dct(values.reshape(patched_shape))
-
-
-def windowed_idct(spectra):
-    """Invert :func:`windowed_dct`: [..., n, w] spectra back to [..., n*w]."""
-    rec = idct(spectra)
-    flat_shape = rec.shape[:-2] + (rec.shape[-2] * rec.shape[-1],)
-    if isinstance(rec, da.DiffArray):
-        return da.reshape(rec, flat_shape)
-    return rec.reshape(flat_shape)
 
 
 def dft_symmetric_extension_oracle(x) -> Array:

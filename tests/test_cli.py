@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ftmixer.cli import main
+from ftmixer.model import FtMixerParams, ModelConfig, save_checkpoint
 
 from helpers import sinusoid_dataset
 
@@ -101,6 +102,23 @@ def test_eval_emits_metrics_json(series_csv, tmp_path, capsys):
     stored = json.loads((out / "metrics.json").read_text())
     assert stored["mse"] == printed["mse"]
     assert "config" in stored
+
+
+def test_eval_on_cut_checkpoint_exits_2(series_csv, tmp_path, capsys):
+    path = tmp_path / "checkpoint.ftm"
+    config = ModelConfig(lookback=48, horizon=12, channels=2, patch_scales=(12, 24))
+    save_checkpoint(path, FtMixerParams.initialize(config))
+    raw = path.read_bytes()
+    for size in (2, 20, len(raw) // 2, len(raw) - 1):
+        path.write_bytes(raw[:size])
+        code = main([
+            "eval",
+            "--data", str(series_csv),
+            "--output", str(tmp_path / "run"),
+            "--checkpoint", str(path),
+        ])
+        assert code == 2
+        assert "ftmixer: error: data:" in capsys.readouterr().err
 
 
 def test_predict_row_count(series_csv, tmp_path):

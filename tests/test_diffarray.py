@@ -1,11 +1,13 @@
 """Array engine: elementwise ops, matmul, conv, backward, Adam."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from ftmixer import diffarray as da
 from ftmixer.diffarray import AdamState, DiffArray, adam_step, backward
-from ftmixer.errors import ConfigError, ContractError, DimensionError, NumericError
+from ftmixer.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 
 from helpers import assert_grads_match, central_diff_grads, max_rel_err, tracked
 
@@ -115,21 +117,58 @@ def test_conv1d_centered_delta_same_padding():
     np.testing.assert_allclose(out.values, x.values)
 
 
-def test_conv1d_matches_direct_cross_correlation():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 9))
-    k = rng.standard_normal((3, 2, 3))
-    out = da.conv1d(DiffArray(x), DiffArray(k), padding="valid").values
-    expected = np.zeros((3, 7))
-    for co in range(3):
-        for t in range(7):
-            expected[co, t] = np.sum(x[:, t : t + 3] * k[co])
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
 def test_conv1d_invalid_groups():
     with pytest.raises(ConfigError):
         da.conv1d(DiffArray(np.zeros((4, 8))), DiffArray(np.zeros((4, 2, 3))), groups=3)
+
+
+def test_conv1d_rejects_every_mode_but_depthwise_same():
+    x = DiffArray(np.zeros((4, 8)))
+    with pytest.raises(ConfigError):
+        da.conv1d(x, DiffArray(np.zeros((4, 1, 3))), padding="valid", groups=4)
+    with pytest.raises(ConfigError):
+        da.conv1d(x, DiffArray(np.zeros((4, 4, 1))), groups=1)  # pointwise
+    with pytest.raises(ConfigError):
+        da.conv1d(x, DiffArray(np.zeros((6, 2, 3))), groups=2)  # grouped
+
+
+def direct_same_conv_matrix(taps, length):
+    """Loop reference: row i holds the taps that reach sample i."""
+    left = (len(taps) - 1) // 2
+    m = np.zeros((length, length))
+    for i in range(length):
+        for j, tap in enumerate(taps):
+            if 0 <= i + j - left < length:
+                m[i, i + j - left] += tap
+    return m
+
+
+@pytest.mark.parametrize("ksize,length", [(3, 7), (4, 7), (1, 5), (6, 3), (9, 4)])
+def test_same_conv_matrix_matches_direct_loop(ksize, length):
+    taps = np.random.default_rng(ksize * 10 + length).standard_normal(ksize)
+    out = da.same_conv_matrix(DiffArray(taps.reshape(1, 1, ksize)), length).values
+    np.testing.assert_array_equal(out, direct_same_conv_matrix(taps, length))
+    v = np.random.default_rng(1).standard_normal(length)
+    conv = da.conv1d(DiffArray(v[None, :]), DiffArray(taps.reshape(1, 1, ksize)), groups=1)
+    np.testing.assert_allclose(out @ v, conv.values[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("ksize,length", [(3, 6), (4, 6), (8, 5)])
+def test_same_conv_matrix_gradients(ksize, length):
+    rng = np.random.default_rng(ksize + length)
+    taps = tracked(rng.standard_normal((1, 1, ksize)))
+    v = rng.standard_normal((3, length, 2))
+    weights = rng.standard_normal((3, length, 2))
+
+    def forward():
+        return da.reduce_sum(da.mul(da.matmul(da.same_conv_matrix(taps, length), v), weights))
+
+    backward(forward())
+
+    def loss_fn():
+        return float(forward().values)
+
+    assert_grads_match(loss_fn, [taps], tol=1e-6)
 
 
 def test_conv1d_depthwise_gradients():
@@ -140,24 +179,6 @@ def test_conv1d_depthwise_gradients():
 
     def forward():
         return da.conv1d(x, k, padding="same", groups=4)
-
-    loss = da.reduce_sum(da.mul(forward(), weights))
-    backward(loss)
-
-    def loss_fn():
-        return float(np.sum(forward().values * weights))
-
-    assert_grads_match(loss_fn, [x, k], tol=1e-6)
-
-
-def test_conv1d_grouped_gradients_with_batch():
-    rng = np.random.default_rng(5)
-    x = tracked(rng.standard_normal((2, 4, 10)))
-    k = tracked(rng.standard_normal((6, 2, 3)))
-    weights = rng.standard_normal((2, 6, 10))
-
-    def forward():
-        return da.conv1d(x, k, padding="same", groups=2)
 
     loss = da.reduce_sum(da.mul(forward(), weights))
     backward(loss)
@@ -341,4 +362,18 @@ def test_container_rejects_foreign_file(tmp_path):
     path = tmp_path / "bogus.ftm"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(Exception):
+        da.load_arrays(path)
+
+
+@pytest.mark.parametrize("meta,name", [
+    (b"{bad json", b"w"),
+    (b"[1, 2]", b"w"),
+    (b"{}", b"\xff\xfe"),
+])
+def test_container_malformed_metadata_or_name_raises_data_error(tmp_path, meta, name):
+    raw = b"FTMX" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", 1)
+    raw += struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 1) + b"\0" * 8
+    path = tmp_path / "bad.ftm"
+    path.write_bytes(raw)
+    with pytest.raises(DataError):
         da.load_arrays(path)

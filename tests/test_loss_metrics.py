@@ -7,7 +7,7 @@ from ftmixer import diffarray as da
 from ftmixer.diffarray import DiffArray, backward
 from ftmixer.errors import ContractError
 from ftmixer.loss_metrics import dual_domain_loss, mae, mse
-from ftmixer.spectral import _basis_pair
+from ftmixer.spectral import basis_pair
 
 from helpers import assert_grads_match, tracked
 
@@ -68,7 +68,7 @@ def test_loss_gradients_away_from_kinks():
 
     loss = forward()
     # no spectral residual is at the absolute-value kink for random data
-    spec_residual = (y_hat.values - y) @ _basis_pair(6)[0]
+    spec_residual = (y_hat.values - y) @ basis_pair(6)[0]
     assert np.min(np.abs(spec_residual)) > 1e-6
     backward(loss.total_node)
 

@@ -5,8 +5,9 @@ import pytest
 
 from ftmixer import diffarray as da
 from ftmixer.diffarray import DiffArray, backward
-from ftmixer.errors import ConfigError, ContractError, DimensionError
+from ftmixer.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 from ftmixer.model import (
+    ABLATIONS,
     FtMixerParams,
     ModelConfig,
     default_patch_scales,
@@ -313,6 +314,16 @@ def test_forward_ablations_split_branches():
         ftmixer_forward(x, params, config, ablation="bogus")
 
 
+@pytest.mark.parametrize("ablation", ABLATIONS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_input(ablation, bad):
+    params = FtMixerParams.initialize(TINY)
+    x = np.random.default_rng(38).standard_normal((3, 2, 24))
+    x[1, 0, 5] = bad
+    with pytest.raises(NumericError):
+        ftmixer_forward(DiffArray(x), params, TINY, ablation=ablation)
+
+
 def test_every_parameter_gets_gradient():
     config = TINY
     params = FtMixerParams.initialize(config)
@@ -363,3 +374,34 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.config == TINY
     for name in params.names():
         assert loaded[name].values.tobytes() == params[name].values.tobytes()
+
+
+def test_truncated_or_padded_checkpoint_raises_data_error(tmp_path):
+    path = tmp_path / "model.ftm"
+    save_checkpoint(path, FtMixerParams.initialize(TINY), {"note": "unit"})
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ftm"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(DataError):
+            load_checkpoint(cut)
+    cut.write_bytes(raw + b"junk")
+    with pytest.raises(DataError):
+        load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("meta", [
+    {},
+    {"model_config": "lookback=24"},
+    {"model_config": {"lookback": 24}},
+    {"model_config": dict(TINY.to_dict(), bogus=1)},
+    {"model_config": dict(TINY.to_dict(), lookback="x")},
+    {"model_config": dict(TINY.to_dict(), patch_scales=[5])},
+    {"model_config": dict(TINY.to_dict(), channels=3)},  # arrays no longer fit
+])
+def test_checkpoint_with_bad_model_config_raises_data_error(tmp_path, meta):
+    params = FtMixerParams.initialize(TINY)
+    path = tmp_path / "model.ftm"
+    da.save_arrays(path, {n: params[n].values for n in params.names()}, meta)
+    with pytest.raises(DataError):
+        load_checkpoint(path)

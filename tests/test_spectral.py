@@ -5,8 +5,8 @@ import pytest
 
 from ftmixer import diffarray as da
 from ftmixer import spectral
-from ftmixer.errors import ConfigError, ContractError, NumericError
-from ftmixer.spectral import dct, dft_symmetric_extension_oracle, idct, windowed_dct, windowed_idct
+from ftmixer.errors import ContractError, NumericError
+from ftmixer.spectral import dct, dft_symmetric_extension_oracle, idct
 
 from helpers import assert_grads_match, tracked
 
@@ -92,7 +92,7 @@ def test_diff_gradients_are_transpose_maps():
     x = tracked(rng.standard_normal(12))
     r = rng.standard_normal(12)
     da.backward(da.reduce_sum(da.mul(dct(x), r)))
-    forward_basis = spectral._basis_pair(12)[0]
+    forward_basis = spectral.basis_pair(12)[0]
     np.testing.assert_allclose(x.grad, forward_basis @ r, atol=1e-12)
 
     def loss_fn():
@@ -102,52 +102,13 @@ def test_diff_gradients_are_transpose_maps():
 
     y = tracked(rng.standard_normal(12))
     da.backward(da.reduce_sum(da.mul(idct(y), r)))
-    inverse_basis = spectral._basis_pair(12)[1]
+    inverse_basis = spectral.basis_pair(12)[1]
     np.testing.assert_allclose(y.grad, inverse_basis @ r, atol=1e-12)
 
     def loss_fn_inv():
         return float(np.sum(idct(y.values) * r))
 
     assert_grads_match(loss_fn_inv, [y], tol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# windowed transforms
-
-
-def test_windowed_matches_per_patch_transform():
-    rng = np.random.default_rng(16)
-    x = rng.standard_normal(8)
-    spectra = windowed_dct(x, 4)
-    assert spectra.shape == (2, 4)
-    np.testing.assert_allclose(spectra[0], dct(x[:4]), atol=1e-12)
-    np.testing.assert_allclose(spectra[1], dct(x[4:]), atol=1e-12)
-
-
-def test_window_equal_to_length_degenerates():
-    rng = np.random.default_rng(17)
-    x = rng.standard_normal(16)
-    spectra = windowed_dct(x, 16)
-    assert spectra.shape == (1, 16)
-    np.testing.assert_allclose(spectra[0], dct(x), atol=1e-12)
-
-
-def test_windowed_round_trip():
-    rng = np.random.default_rng(18)
-    for window in (1, 2, 6, 12):
-        x = rng.standard_normal(24)
-        rec = windowed_idct(windowed_dct(x, window))
-        assert np.max(np.abs(rec - x)) < 1e-9
-
-
-def test_window_validation():
-    x = np.ones(10)
-    with pytest.raises(ConfigError):
-        windowed_dct(x, 11)  # larger than the sequence
-    with pytest.raises(ConfigError):
-        windowed_dct(x, 3)  # does not divide 10
-    with pytest.raises(ConfigError):
-        windowed_dct(x, 0)
 
 
 # ---------------------------------------------------------------------------
