@@ -14,12 +14,22 @@ Conventions:
   accumulates
 - elementwise ops broadcast by numpy rules; gradients of broadcast
   operands are summed back down to the operand shape
+- only leaves (nodes without a backward closure, such as parameters) own
+  a writable ``grad``; :func:`clip_global_norm` and :func:`adam_step`
+  may write into it.  An interior node keeps the gradient it is handed,
+  which may be a read-only view shared with other nodes, and accumulates
+  out of place, so no backward closure may write into a gradient it
+  receives
+- a matmul whose right operand is 2-D runs as one GEMM over the left
+  operand's flattened leading dims, forward and backward
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import string
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -93,7 +103,12 @@ def _node(values: Array, parents: Sequence[DiffArray], backprop) -> DiffArray:
 def _accum(node: DiffArray, g: Array) -> None:
     if not node.requires_grad:
         return
-    if node.grad is None:
+    if node._backprop is not None:
+        # interior: keep the (possibly shared, read-only) array uncopied
+        if g.shape != node.values.shape:
+            g = np.broadcast_to(g, node.values.shape)
+        node.grad = g if node.grad is None else node.grad + g
+    elif node.grad is None:
         node.grad = np.array(np.broadcast_to(g, node.values.shape))
     else:
         node.grad += g
@@ -201,16 +216,23 @@ def matmul(a, b) -> DiffArray:
         raise DimensionError(
             f"matmul: inner dimensions differ, got {a.shape} @ {b.shape}"
         )
-    out = a.values @ b.values
+    # numpy runs a stacked product as one small GEMM per leading index;
+    # with a 2-D right operand the leading dims collapse into one GEMM
+    gemm = b.values.ndim == 2
+    k, n = b.shape[-2:]
+    if gemm:
+        out = (a.values.reshape(-1, k) @ b.values).reshape(a.shape[:-1] + (n,))
+    else:
+        out = a.values @ b.values
 
     def backprop(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape))
+            if gemm:
+                _accum(a, (g.reshape(-1, n) @ b.values.T).reshape(a.shape))
+            else:
+                _accum(a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape))
         if b.requires_grad:
-            if b.values.ndim == 2:
-                # collapse stacked dims into one BLAS call
-                k = a.shape[-1]
-                n = g.shape[-1]
+            if gemm:
                 _accum(b, a.values.reshape(-1, k).T @ g.reshape(-1, n))
             else:
                 _accum(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
@@ -275,27 +297,42 @@ def conv1d(x, kernels, padding: str = "same", groups: int = 1) -> DiffArray:
         )
     ksize = k.shape[-1]
     left = (ksize - 1) // 2
-    taps = k.values.reshape(channels, ksize)
-    xp = np.pad(x.values.reshape(-1, channels, length),
-                ((0, 0), (0, 0), (left, ksize - 1 - left)))
-    y = np.zeros((xp.shape[0], channels, length))
-    for j in range(ksize):
-        y += xp[..., j : j + length] * taps[:, j][:, None]
+    taps = k.values.reshape(channels, ksize, 1)
+    xv = x.values
+    # tap j reads x[i + j - left]; ufuncs keep x's memory order, so a
+    # transposed view is convolved in place of a contiguous copy
+    shifts = [(j, j - left) for j in range(ksize) if j != left and abs(j - left) < length]
+    y = xv * taps[:, left]
+    for j, s in shifts:
+        out_part, in_part = _shifted(s, length)
+        y[..., out_part] += xv[..., in_part] * taps[:, j]
 
     def backprop(g):
-        gg = g.reshape(-1, channels, length)
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for j in range(ksize):
-                dxp[..., j : j + length] += gg * taps[:, j][:, None]
-            _accum(x, dxp[..., left : left + length].reshape(x.shape))
+            dx = g * taps[:, left]
+            for j, s in shifts:
+                out_part, in_part = _shifted(s, length)
+                dx[..., in_part] += g[..., out_part] * taps[:, j]
+            _accum(x, dx)
         if k.requires_grad:
+            # einsum sums a strided view faster than np.sum over its axes
+            lead = string.ascii_uppercase[: xv.ndim - 2]
+            per_channel = f"{lead}ci,{lead}ci->c"
             dk = np.zeros((channels, ksize))
-            for j in range(ksize):
-                dk[:, j] = np.sum(gg * xp[..., j : j + length], axis=(0, 2))
+            dk[:, left] = np.einsum(per_channel, g, xv)
+            for j, s in shifts:
+                out_part, in_part = _shifted(s, length)
+                dk[:, j] = np.einsum(per_channel, g[..., out_part], xv[..., in_part])
             _accum(k, dk.reshape(k.shape))
 
-    return _node(y.reshape(x.shape), (x, k), backprop)
+    return _node(y, (x, k), backprop)
+
+
+def _shifted(shift: int, length: int) -> tuple[slice, slice]:
+    """(output, input) slices where ``out[i] += in[i + shift]`` stays in range."""
+    if shift > 0:
+        return slice(0, length - shift), slice(shift, length)
+    return slice(-shift, length), slice(0, length + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +449,20 @@ def clamp_min(x, floor: float) -> DiffArray:
 def silu(x) -> DiffArray:
     """Smooth ramp activation x * sigmoid(x)."""
     x = _lift(x)
+    sig = np.negative(x.values)
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-x.values))
+        np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
     out = x.values * sig
 
     def backprop(g):
-        _accum(x, g * sig * (1.0 + x.values * (1.0 - sig)))
+        slope = 1.0 - sig
+        slope *= x.values
+        slope += 1.0
+        dx = g * sig
+        dx *= slope
+        _accum(x, dx)
 
     return _node(out, (x,), backprop)
 
@@ -533,23 +578,38 @@ def save_arrays(path, arrays: dict[str, Array], metadata: dict | None = None) ->
     Binary layout: magic, u32 version, u32 metadata length + UTF-8 JSON,
     u32 entry count, then per entry: u16 name length + name, u8 ndim,
     u32 dims, little-endian float64 payload.  Round trips bit-exactly.
+
+    The file is written under a temporary name in the same directory,
+    synced, then renamed over ``path``, so ``path`` is never half-written.
+    A save that raises (an interrupt included) removes its temporary file
+    and leaves the previous file as it was.
     """
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", CONTAINER_VERSION))
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        f.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            a = np.ascontiguousarray(arr, dtype="<f8")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", a.ndim))
-            if a.ndim:
-                f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", CONTAINER_VERSION))
+            f.write(struct.pack("<I", len(meta)))
+            f.write(meta)
+            f.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                a = np.ascontiguousarray(arr, dtype="<f8")
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", a.ndim))
+                if a.ndim:
+                    f.write(struct.pack(f"<{a.ndim}I", *a.shape))
+                f.write(a.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_arrays(path) -> tuple[dict[str, Array], dict]:

@@ -331,6 +331,11 @@ def depthwise_pointwise(z, params: FtMixerParams, config: ModelConfig) -> DiffAr
     axis, a depthwise (groups = D_p) convolution runs along it, then a
     pointwise (1x1) convolution, a matmul, mixes the D_p features.
     Shape-preserving.
+
+    The data stays in the [..., N * n_tot, D_p] layout throughout: the
+    depthwise conv reads a transposed view and its output has the same
+    memory order, and the pointwise conv is ``deep @ pw_k^T`` with a 2-D
+    right operand, so it runs as one GEMM and nothing is copied.
     """
     z = da._lift(z)
     n_tot, dp = config.total_patches, config.patch_embed_dim
@@ -340,11 +345,11 @@ def depthwise_pointwise(z, params: FtMixerParams, config: ModelConfig) -> DiffAr
             f"got {z.shape}"
         )
     joined = da.reshape(z, z.shape[:-3] + (config.channels * n_tot, dp))
-    lanes = da.swapaxes(joined, -1, -2)  # [..., D_p, N * n_tot]
-    deep = da.conv1d(lanes, params["ds_dw_k"], padding="same", groups=dp)
-    point = da.matmul(da.reshape(params["ds_pw_k"], (dp, dp)), deep)
-    out = da.swapaxes(point, -1, -2)
-    return da.reshape(out, z.shape)
+    lanes = da.swapaxes(joined, -1, -2)  # [..., D_p, N * n_tot] view
+    depthwise = da.conv1d(lanes, params["ds_dw_k"], padding="same", groups=dp)
+    deep = da.swapaxes(depthwise, -1, -2)  # back to [..., N * n_tot, D_p], contiguous
+    pointwise = da.swapaxes(da.reshape(params["ds_pw_k"], (dp, dp)), 0, 1)
+    return da.reshape(da.matmul(deep, pointwise), z.shape)
 
 
 def ds_conv(z, params: FtMixerParams, config: ModelConfig) -> DiffArray:

@@ -151,6 +151,7 @@ def train(
         order = rng.permutation(train_starts)
         time_sum = freq_sum = total_sum = 0.0
         seen = 0
+        grad_norms = []
         for batch in iter_batches(
             dataset, order, lookback, horizon, train_config.batch_size
         ):
@@ -182,7 +183,7 @@ def train(
                 p.grad if p.grad is not None else np.zeros_like(p.values)
                 for p in params.all()
             ]
-            da.clip_global_norm(grads, train_config.clip_norm)
+            grad_norms.append(da.clip_global_norm(grads, train_config.clip_norm))
             da.adam_step(params.all(), grads, adam)
             n = batch.inputs.shape[0]
             time_sum += loss.time_loss * n
@@ -203,6 +204,10 @@ def train(
             "freq_loss": freq_sum / seen,
             "total": total_sum / seen,
             "val_mse": val["mse"],
+            # pre-clip global gradient norm over the epoch's steps
+            "grad_norm_mean": float(np.mean(grad_norms)),
+            "grad_norm_max": float(np.max(grad_norms)),
+            "clipped_share": float(np.mean(np.array(grad_norms) > train_config.clip_norm)),
         }
         report.epochs.append(record)
         log.info(

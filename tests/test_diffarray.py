@@ -105,6 +105,49 @@ def test_matmul_batched_gradients():
     assert_grads_match(loss_fn, [a, b], tol=1e-6)
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 2, 3, 4), (4, 5)),  # 4-D left, one GEMM
+    ((3, 4), (2, 4, 5)),     # 2-D left broadcast over a stacked right
+])
+def test_matmul_stacked_and_broadcast_gradients(a_shape, b_shape):
+    rng = np.random.default_rng(len(a_shape))
+    a = tracked(rng.standard_normal(a_shape))
+    b = tracked(rng.standard_normal(b_shape))
+    expected = a.values @ b.values
+    np.testing.assert_allclose(da.matmul(a, b).values, expected, atol=1e-13)
+    weights = rng.standard_normal(expected.shape)
+
+    def forward():
+        return da.reduce_sum(da.mul(da.matmul(a, b), weights))
+
+    backward(forward())
+
+    def loss_fn():
+        return float(forward().values)
+
+    assert_grads_match(loss_fn, [a, b], tol=1e-6)
+
+
+def test_matmul_transposed_left_view_gradients():
+    rng = np.random.default_rng(11)
+    base = tracked(rng.standard_normal((2, 4, 3)))
+    b = tracked(rng.standard_normal((4, 5)))
+    view = da.swapaxes(base, -1, -2)  # [2, 3, 4], not contiguous
+    assert not view.values.flags["C_CONTIGUOUS"]
+    np.testing.assert_allclose(da.matmul(view, b).values, view.values @ b.values, atol=1e-13)
+    weights = rng.standard_normal((2, 3, 5))
+
+    def forward():
+        return da.reduce_sum(da.mul(da.matmul(da.swapaxes(base, -1, -2), b), weights))
+
+    backward(forward())
+
+    def loss_fn():
+        return float(forward().values)
+
+    assert_grads_match(loss_fn, [base, b], tol=1e-6)
+
+
 def test_conv1d_identity_kernel():
     x = DiffArray([[1.0, 2.0, 3.0, 4.0]])
     out = da.conv1d(x, DiffArray([[[1.0]]]), padding="same")
@@ -189,6 +232,30 @@ def test_conv1d_depthwise_gradients():
     assert_grads_match(loss_fn, [x, k], tol=1e-6)
 
 
+@pytest.mark.parametrize("ksize", [3, 4])
+def test_conv1d_batched_transposed_view_gradients(ksize):
+    rng = np.random.default_rng(20 + ksize)
+    base = tracked(rng.standard_normal((2, 9, 3)))  # [B, L, C]
+    k = tracked(rng.standard_normal((3, 1, ksize)))
+    weights = rng.standard_normal((2, 3, 9))
+
+    def forward():
+        lanes = da.swapaxes(base, -1, -2)  # [B, C, L] view
+        return da.conv1d(lanes, k, padding="same", groups=3)
+
+    out = forward()
+    left = (ksize - 1) // 2
+    padded = np.pad(np.swapaxes(base.values, -1, -2), ((0, 0), (0, 0), (left, ksize - 1 - left)))
+    direct = sum(padded[..., j : j + 9] * k.values[:, 0, j][:, None] for j in range(ksize))
+    np.testing.assert_allclose(out.values, direct, atol=1e-13)
+    backward(da.reduce_sum(da.mul(out, weights)))
+
+    def loss_fn():
+        return float(np.sum(forward().values * weights))
+
+    assert_grads_match(loss_fn, [base, k], tol=1e-6)
+
+
 def test_backward_sum_gradient():
     x = tracked([1.0, 2.0, 3.0])
     backward(da.reduce_sum(x))
@@ -266,6 +333,30 @@ def test_concat_and_swapaxes_gradients():
         return float(np.sum(joined.T * weights))
 
     assert_grads_match(loss_fn, [a, b], tol=1e-6)
+
+
+def test_leaf_gradients_are_owned_and_clipped_once():
+    rng = np.random.default_rng(13)
+    p, p1, p2 = (tracked(rng.standard_normal((3, 4))) for _ in range(3))
+    q = tracked(rng.standard_normal(12))
+    weights = rng.standard_normal((3, 4))
+    doubled = da.add(p, p)
+    paired = da.add(p1, p2)
+    total = da.add(da.add(doubled, paired), da.reshape(q, (3, 4)))
+    backward(da.reduce_sum(da.mul(total, weights)))
+    leaves = [p, p1, p2, q]
+    expected = [2.0 * weights, weights, weights, weights.reshape(-1)]
+    for leaf, want in zip(leaves, expected):
+        assert leaf.grad.flags["WRITEABLE"] and leaf.grad.flags["OWNDATA"]
+        np.testing.assert_allclose(leaf.grad, want, rtol=1e-15)
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+    norm = da.clip_global_norm([leaf.grad for leaf in leaves], max_norm=1.0)
+    factor = 1.0 / norm
+    for leaf, want in zip(leaves, expected):
+        np.testing.assert_allclose(leaf.grad, want * factor, rtol=1e-14)
 
 
 def test_graph_determinism():
@@ -377,3 +468,19 @@ def test_container_malformed_metadata_or_name_raises_data_error(tmp_path, meta, 
     path.write_bytes(raw)
     with pytest.raises(DataError):
         da.load_arrays(path)
+
+
+def test_failed_save_keeps_previous_file_and_no_temp(tmp_path):
+    good = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -1.5])}
+    path = tmp_path / "model.ftm"
+    da.save_arrays(path, good, {"epoch": 1})
+    before = path.read_bytes()
+    bad = {"w": np.ones((2, 3)), "name": np.array(["not a number"])}
+    with pytest.raises(ValueError):
+        da.save_arrays(path, bad, {"epoch": 2})
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["model.ftm"]
+    loaded, meta = da.load_arrays(path)
+    assert meta == {"epoch": 1}
+    for name in good:
+        assert loaded[name].tobytes() == good[name].tobytes()

@@ -137,3 +137,14 @@ def test_run_report_serializable():
     report = RunReport()
     d = report.to_dict()
     assert set(d) >= {"epochs", "best_epoch", "test_mse", "wall_seconds"}
+
+
+@pytest.mark.parametrize("clip_norm,share", [(1e-12, 1.0), (1e12, 0.0)])
+def test_epoch_records_pre_clip_gradient_norms(clip_norm, share):
+    prepared, config = small_problem()
+    tc = TrainConfig(epochs=1, batch_size=64, seed=0, clip_norm=clip_norm)
+    report, _ = train(config, tc, prepared)
+    record = report.epochs[0]
+    assert record["clipped_share"] == share
+    assert 0.0 < record["grad_norm_mean"] <= record["grad_norm_max"]
+    assert np.isfinite(record["grad_norm_max"])
