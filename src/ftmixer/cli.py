@@ -305,7 +305,9 @@ def cmd_predict(args) -> int:
             f"{prepared.length - span}"
         )
     window = prepared.values[:, start : start + span]
-    pred_std = ftmixer_forward(window[None, :, : config.lookback], params, config).values[0]
+    pred_std = ftmixer_forward(
+        window[None, :, : config.lookback], params.frozen(), config
+    ).values[0]
     stats = prepared.norm_stats
     predicted = data_mod.destandardize(pred_std, stats)
     actual = data_mod.destandardize(window[:, config.lookback :], stats)

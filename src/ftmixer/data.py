@@ -63,13 +63,14 @@ class SeriesDataset:
 def load_csv(path, name: str | None = None) -> SeriesDataset:
     """Read a timestamp + channels CSV into a channel-major dataset.
 
-    Rejects missing files, ragged rows, non-numeric cells, and
-    non-finite values, reporting the offending line number.
+    Rejects missing files, duplicate channel names, ragged rows,
+    non-numeric cells, and non-finite values, reporting the offending
+    line number.  A leading UTF-8 byte order mark is skipped.
     """
     rows: list[list[float]] = []
     timestamps: list[str] = []
     try:
-        f = open(path, "r", encoding="utf-8", newline="")
+        f = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open dataset {path}: {exc}") from None
     with f:
@@ -83,6 +84,11 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
         if header[0].strip().lower() != "date":
             raise ParseError(f"first header cell must be 'date', got {header[0]!r}", line=1)
         channel_names = tuple(h.strip() for h in header[1:])
+        seen: set[str] = set()
+        for channel in channel_names:
+            if channel in seen:
+                raise ParseError(f"duplicate channel name {channel!r}", line=1)
+            seen.add(channel)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue

@@ -553,7 +553,13 @@ def adam_step(params: Sequence[DiffArray], grads: Sequence[Array], state: AdamSt
 
 
 def clip_global_norm(grads: Sequence[Array], max_norm: float) -> float:
-    """Scale grads in place so their joint L2 norm is at most max_norm."""
+    """Scale grads in place so their joint L2 norm is at most max_norm.
+
+    ``max_norm`` must be positive: a negative one would flip every
+    gradient's sign and zero would erase them.
+    """
+    if not max_norm > 0:
+        raise ContractError(f"clip_global_norm: max_norm must be > 0, got {max_norm}")
     total = 0.0
     for g in grads:
         total += float(np.sum(g * g))

@@ -21,7 +21,10 @@ the channel and bin convolutions) are folded into the learned matrices
 next to them: the global branch runs as ``idct(T_N(k) @ (x @ (F_L @ W)
 + b))`` and each local scale as ``patches @ ((I + F_w T_w(k)^T F_w^-1)
 @ E_w) + b_w``; the pointwise convolution of step 4 is a matmul.  The
-parameters are the unfolded ones.
+parameters are the unfolded ones.  The blocks fetch these folds through
+``FtMixerParams.fold``: a tracked set rebuilds them on every forward, the
+untracked ``FtMixerParams.frozen()`` set used for evaluation builds them
+once.
 
 All entry points accept an optional leading batch dimension.
 """
@@ -172,6 +175,7 @@ class FtMixerParams:
         self.config = config
         self._order = list(spec)
         self._entries = entries
+        self._folds: dict[str, DiffArray] | None = None  # memo of a frozen set
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "FtMixerParams":
@@ -191,6 +195,39 @@ class FtMixerParams:
 
     def all(self) -> list[DiffArray]:
         return [self._entries[name] for name in self._order]
+
+    def frozen(self) -> "FtMixerParams":
+        """An untracked set over read-only views of the current values.
+
+        Nothing is copied, and no forward through the frozen set records a
+        tape, so its intermediates are freed as soon as they are used.  The
+        set memoizes the fixed-map folds the blocks fetch through
+        :meth:`fold` (``F_L @ W`` and ``T_N(k)`` of the global branch, each
+        local scale's patch map), built on first use.  Those folds are only
+        valid while the values stay as they were when the set was made, and
+        an optimizer step changes them in place; so build a frozen set for
+        one evaluation or prediction and never keep it.
+        """
+        entries = {}
+        for name in self._order:
+            view = self._entries[name].values.view()
+            view.flags.writeable = False
+            entries[name] = DiffArray(view)
+        frozen = FtMixerParams(self.config, entries)
+        frozen._folds = {}
+        return frozen
+
+    def fold(self, key: str, build) -> DiffArray:
+        """``build()``, memoized under ``key`` on a frozen set.
+
+        A tracked set builds on every call: its values change between
+        forwards, and the gradient flows through the fold to them.
+        """
+        if self._folds is None:
+            return build()
+        if key not in self._folds:
+            self._folds[key] = build()
+        return self._folds[key]
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: self._entries[name].values.copy() for name in self._order}
@@ -289,9 +326,11 @@ def fcc_forward(x, params: FtMixerParams, config: ModelConfig) -> DiffArray:
             f"fcc_forward: expected [..., {config.channels}, {config.lookback}], "
             f"got {x.shape}"
         )
-    spectrum_embed = da.matmul(spectral.basis_pair(config.lookback)[0], params["fcc_embed_w"])
+    spectrum_embed = params.fold("fcc_spectrum_embed", lambda: da.matmul(
+        spectral.basis_pair(config.lookback)[0], params["fcc_embed_w"]))
     embedded = da.add(da.matmul(x, spectrum_embed), params["fcc_embed_b"])
-    across = da.same_conv_matrix(params["fcc_conv_k"], config.channels)
+    across = params.fold("fcc_across", lambda: da.same_conv_matrix(
+        params["fcc_conv_k"], config.channels))
     return spectral.idct(da.matmul(across, embedded))
 
 
@@ -317,10 +356,14 @@ def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
         raise ConfigError(f"wfc_forward: no parameters for scale {scale}") from None
     n = length // scale
     patches = da.reshape(x, x.shape[:-1] + (n, scale))
-    forward_basis, inverse_basis = spectral.basis_pair(scale)
-    bins = da.swapaxes(da.same_conv_matrix(kernel, scale), 0, 1)  # T_w(k)^T
-    spectral_mix = da.matmul(da.matmul(forward_basis, bins), inverse_basis)
-    patch_map = da.matmul(da.add(np.eye(scale), spectral_mix), embed_w)
+
+    def build_patch_map():
+        forward_basis, inverse_basis = spectral.basis_pair(scale)
+        bins = da.swapaxes(da.same_conv_matrix(kernel, scale), 0, 1)  # T_w(k)^T
+        spectral_mix = da.matmul(da.matmul(forward_basis, bins), inverse_basis)
+        return da.matmul(da.add(np.eye(scale), spectral_mix), embed_w)
+
+    patch_map = params.fold(f"wfc_patch_map_{scale}", build_patch_map)
     return da.add(da.matmul(patches, patch_map), embed_b)
 
 

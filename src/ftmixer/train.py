@@ -24,6 +24,15 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
+# Bytes of the widest per-window activation that one forward of evaluate()
+# holds, so that a row block stays in a core's L2 (2 MiB on the 2-core host
+# it was tuned on).  Sweep, evaluate() windows/s over 3053 windows at the
+# paper shape, B=256, median of 4 interleaved rounds: 128 KiB (1 row) 1235,
+# 256 KiB (3) 2161, 512 KiB (6) 2713, 1 MiB (13) 2888, 2 MiB (27) 2909,
+# 4 MiB (55) 2634, unblocked (256) 1864.  1 and 2 MiB tie; the smaller
+# leaves L2 room for the weights.
+EVAL_BLOCK_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -45,6 +54,10 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if self.eval_batch_size < 1:
+            raise ConfigError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(
                 f"unknown ablation {self.ablation!r}; expected one of {ABLATIONS}"
@@ -56,9 +69,16 @@ class TrainConfig:
 
 @dataclass
 class RunReport:
-    """Per-epoch loss history plus the test metrics of the best checkpoint."""
+    """Per-epoch loss history plus the test metrics of the best checkpoint.
+
+    ``epochs`` holds what a seed determines, so two runs of one seed
+    compare equal; wall times are kept beside it (``eval_seconds``, one
+    validation pass per epoch) and joined into each epoch's ``eval_s`` by
+    :meth:`to_dict`.
+    """
 
     epochs: list[dict] = field(default_factory=list)
+    eval_seconds: list[float] = field(default_factory=list)
     best_epoch: int = -1
     test_mse: float = float("nan")
     test_mae: float = float("nan")
@@ -68,7 +88,10 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            "epochs": self.epochs,
+            "epochs": [
+                dict(record, eval_s=seconds)
+                for record, seconds in zip(self.epochs, self.eval_seconds, strict=True)
+            ],
             "best_epoch": self.best_epoch,
             "test_mse": self.test_mse,
             "test_mae": self.test_mae,
@@ -86,20 +109,46 @@ def evaluate(
     batch_size: int = 256,
     ablation: str = "full",
 ) -> dict:
-    """Stride-1 metrics over every window of a split, tail batch included."""
+    """Stride-1 metrics over every window of a split, tail batch included.
+
+    The forwards run on ``params.frozen()``: no tape is recorded and the
+    fixed-map folds are built once for the call.  The frozen set lives
+    for this call only, because an optimizer step between two calls
+    changes the values its folds were built from.
+
+    ``batch_size`` windows are gathered at a time, and each batch is
+    forwarded in consecutive row blocks of
+    ``max(1, EVAL_BLOCK_BUDGET // (8 * N * max(L, n_tot * D_p, D_f)))``
+    windows, so that the widest activation of a block (float64, per
+    window ``N`` rows of the widest of the input, the joined local
+    patches and the global embedding) stays in cache: 13 windows at the
+    paper shape, where 1 MiB tied for fastest in the sweep given at
+    ``EVAL_BLOCK_BUDGET``.  Errors are summed per batch.
+    """
     if model_config.channels != dataset.channels:
         raise ConfigError(
             f"checkpoint expects {model_config.channels} channels, dataset has "
             f"{dataset.channels}"
         )
     starts = window_samples(dataset, split, model_config.lookback, model_config.horizon)
+    frozen = params.frozen()
+    widest = max(
+        model_config.lookback,
+        model_config.total_patches * model_config.patch_embed_dim,
+        model_config.fcc_embed_dim,
+    )
+    rows = max(1, EVAL_BLOCK_BUDGET // (8 * model_config.channels * widest))
     sq_sum = 0.0
     abs_sum = 0.0
     elems = 0
     for batch in iter_batches(
         dataset, starts, model_config.lookback, model_config.horizon, batch_size
     ):
-        pred = ftmixer_forward(batch.inputs, params, model_config, ablation=ablation).values
+        pred = np.empty(batch.targets.shape)
+        for lo in range(0, len(pred), rows):
+            pred[lo : lo + rows] = ftmixer_forward(
+                batch.inputs[lo : lo + rows], frozen, model_config, ablation=ablation
+            ).values
         diff = pred - batch.targets
         sq_sum += float(np.sum(diff * diff))
         abs_sum += float(np.sum(np.abs(diff)))
@@ -190,6 +239,7 @@ def train(
             freq_sum += loss.freq_loss * n
             total_sum += loss.total * n
             seen += n
+        eval_started = time.perf_counter()
         val = evaluate(
             params,
             model_config,
@@ -198,12 +248,14 @@ def train(
             batch_size=train_config.eval_batch_size,
             ablation=ablation,
         )
+        report.eval_seconds.append(time.perf_counter() - eval_started)
         record = {
             "epoch": epoch,
             "time_loss": time_sum / seen,
             "freq_loss": freq_sum / seen,
             "total": total_sum / seen,
             "val_mse": val["mse"],
+            "val_mae": val["mae"],
             # pre-clip global gradient norm over the epoch's steps
             "grad_norm_mean": float(np.mean(grad_norms)),
             "grad_norm_max": float(np.max(grad_norms)),

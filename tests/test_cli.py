@@ -66,6 +66,13 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     assert "ftmixer: error: data:" in capsys.readouterr().err
 
 
+def test_duplicate_channel_names_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("date,a,a\nt0,1,2\n", encoding="utf-8")
+    assert main(train_args(path, tmp_path / "out")) == 2
+    assert "duplicate channel name 'a'" in capsys.readouterr().err
+
+
 def test_indivisible_patch_scale_exits_1(series_csv, tmp_path, capsys):
     code = main(train_args(series_csv, tmp_path / "out", extra=["--patch-scales", "25"]))
     assert code == 1

@@ -69,6 +69,35 @@ def test_load_csv_requires_date_header(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_skips_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfdate,a\nt0,1\nt1,2\n")
+    ds = load_csv(path)
+    assert ds.channel_names == ("a",)
+    np.testing.assert_array_equal(ds.values, [[1.0, 2.0]])
+
+
+def test_load_csv_rejects_duplicate_channel_names(tmp_path):
+    path = tmp_path / "dup.csv"
+    write_csv(path, ["date", "a", "b", "a"], [["t0", 1, 2, 3]])
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert exc.value.line == 1
+    assert "'a'" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", [
+    "date,a,b\r\nt0,1,4\r\nt1,2,5\r\n",     # CRLF line endings
+    "date,a,b\nt0,1,4\nt1,2,5\n\n\n",        # blank trailing lines
+])
+def test_load_csv_line_ending_variants(tmp_path, text):
+    path = tmp_path / "variant.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ds = load_csv(path)
+    assert ds.channel_names == ("a", "b") and ds.timestamps == ("t0", "t1")
+    np.testing.assert_array_equal(ds.values, [[1.0, 2.0], [4.0, 5.0]])
+
+
 def test_load_csv_missing_file():
     with pytest.raises(DataError):
         load_csv("/nonexistent/nowhere.csv")

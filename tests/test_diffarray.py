@@ -484,3 +484,11 @@ def test_failed_save_keeps_previous_file_and_no_temp(tmp_path):
     assert meta == {"epoch": 1}
     for name in good:
         assert loaded[name].tobytes() == good[name].tobytes()
+
+
+@pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
+def test_clip_global_norm_rejects_non_positive_max_norm(max_norm):
+    grads = [np.array([3.0, 4.0])]
+    with pytest.raises(ContractError):
+        da.clip_global_norm(grads, max_norm)
+    np.testing.assert_array_equal(grads[0], [3.0, 4.0])

@@ -38,6 +38,20 @@ TINY = ModelConfig(
 
 FULL = ModelConfig(lookback=336, horizon=96, channels=7, seed=1)
 
+# even kernels everywhere, and a local kernel longer than the shorter patch
+EVEN = ModelConfig(
+    lookback=24,
+    horizon=4,
+    channels=3,
+    fcc_embed_dim=8,
+    patch_scales=(2, 6),
+    patch_embed_dim=4,
+    fcc_kernel_size=2,
+    wfc_kernel_size=4,
+    ds_dw_kernel_size=4,
+    seed=5,
+)
+
 
 def zeroed_params(config) -> FtMixerParams:
     params = FtMixerParams.initialize(config)
@@ -322,6 +336,41 @@ def test_forward_rejects_non_finite_input(ablation, bad):
     x[1, 0, 5] = bad
     with pytest.raises(NumericError):
         ftmixer_forward(DiffArray(x), params, TINY, ablation=ablation)
+
+
+@pytest.mark.parametrize("config", [FULL, TINY, EVEN], ids=["full", "tiny", "even"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_frozen_forward_matches_tracked(config, ablation):
+    params = FtMixerParams.initialize(config)
+    x = np.random.default_rng(39).standard_normal((5, config.channels, config.lookback))
+    tracked_out = ftmixer_forward(DiffArray(x), params, config, ablation=ablation)
+    frozen = params.frozen()
+    for _ in range(2):  # the second forward reads the memoized folds
+        out = ftmixer_forward(DiffArray(x), frozen, config, ablation=ablation)
+        assert not out.requires_grad and out._parents == ()
+        scale = np.max(np.abs(tracked_out.values))
+        assert np.max(np.abs(out.values - tracked_out.values)) <= 1e-12 * scale
+
+
+def test_frozen_set_is_read_only_untracked_and_memoizes():
+    params = FtMixerParams.initialize(TINY)
+    frozen = params.frozen()
+    for name in params.names():
+        assert not frozen[name].requires_grad
+        assert np.shares_memory(frozen[name].values, params[name].values)
+        with pytest.raises(ValueError):
+            frozen[name].values[...] = 0.0
+    builds = []
+
+    def build():
+        builds.append(1)
+        return DiffArray(np.zeros(1))
+
+    assert frozen.fold("key", build) is frozen.fold("key", build)
+    assert len(builds) == 1
+    params.fold("key", build)
+    params.fold("key", build)
+    assert len(builds) == 3  # a tracked set builds on every call
 
 
 def test_every_parameter_gets_gradient():

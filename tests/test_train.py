@@ -1,15 +1,27 @@
 """Training loop: convergence, determinism, early stop, abort, evaluation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from ftmixer import data as data_mod
-from ftmixer.data import window_samples
+from ftmixer import diffarray as da
+from ftmixer.data import gather_batch, window_samples
 from ftmixer.errors import ConfigError, NumericError
-from ftmixer.model import ModelConfig, default_patch_scales, load_checkpoint
+from ftmixer.model import (
+    FtMixerParams,
+    ModelConfig,
+    default_patch_scales,
+    ftmixer_forward,
+    load_checkpoint,
+)
 from ftmixer.train import RunReport, TrainConfig, evaluate, run_length_sweep, train
 
 from helpers import sinusoid_dataset
+
+# the package exports the function train() under the module's name
+train_mod = importlib.import_module("ftmixer.train")
 
 RATIOS = (0.6, 0.2, 0.2)
 
@@ -148,3 +160,87 @@ def test_epoch_records_pre_clip_gradient_norms(clip_norm, share):
     assert record["clipped_share"] == share
     assert 0.0 < record["grad_norm_mean"] <= record["grad_norm_max"]
     assert np.isfinite(record["grad_norm_max"])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"clip_norm": -1.0}, {"clip_norm": 0.0}, {"eval_batch_size": 0},
+])
+def test_train_config_rejects_non_positive_clip_and_eval_batch(kwargs):
+    with pytest.raises(ConfigError):
+        TrainConfig(**kwargs)
+
+
+def test_epoch_records_validation_mae_and_time():
+    prepared, config = small_problem()
+    report, _ = train(config, TrainConfig(epochs=2, batch_size=64, seed=0), prepared)
+    records = report.to_dict()["epochs"]
+    assert len(records) == 2
+    for record in records:
+        assert np.isfinite(record["val_mae"]) and record["val_mae"] > 0.0
+        assert np.isfinite(record["eval_s"]) and record["eval_s"] > 0.0
+
+
+# wide enough that the default block budget splits a batch into several forwards
+WIDE = ModelConfig(lookback=48, horizon=12, channels=8, fcc_embed_dim=16,
+                   patch_scales=(8, 12), patch_embed_dim=128, seed=4)
+
+
+def wide_problem():
+    raw = sinusoid_dataset(steps=500, period=24.0, channels=WIDE.channels)
+    return data_mod.prepare(raw, RATIOS, WIDE.lookback, WIDE.horizon)
+
+
+def block_rule(config):
+    widest = max(config.lookback, config.total_patches * config.patch_embed_dim,
+                 config.fcc_embed_dim)
+    return max(1, train_mod.EVAL_BLOCK_BUDGET // (8 * config.channels * widest))
+
+
+def tape_metrics(params, config, prepared, split):
+    """mse and mae from one tracked forward over every window of a split."""
+    starts = window_samples(prepared, split, config.lookback, config.horizon)
+    batch = gather_batch(prepared, starts, config.lookback, config.horizon)
+    diff = ftmixer_forward(batch.inputs, params, config).values - batch.targets
+    return float(np.mean(diff * diff)), float(np.mean(np.abs(diff)))
+
+
+def assert_metrics_close(metrics, expected):
+    mse, mae = expected
+    assert abs(metrics["mse"] - mse) <= 1e-12 * mse
+    assert abs(metrics["mae"] - mae) <= 1e-12 * mae
+
+
+def test_evaluate_independent_of_batch_size():
+    prepared = wide_problem()
+    params = FtMixerParams.initialize(WIDE)
+    assert 1 < block_rule(WIDE) < 13
+    expected = tape_metrics(params, WIDE, prepared, "test")
+    for batch_size in (1, 13, 256):
+        metrics = evaluate(params, WIDE, prepared, "test", batch_size=batch_size)
+        assert_metrics_close(metrics, expected)
+
+
+def test_evaluate_forwards_at_most_one_row_block(monkeypatch):
+    prepared = wide_problem()
+    params = FtMixerParams.initialize(WIDE)
+    rows = []
+
+    def spy(x, *args, **kwargs):
+        rows.append(np.shape(x)[0])
+        return ftmixer_forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", spy)
+    metrics = evaluate(params, WIDE, prepared, "test", batch_size=256)
+    assert sum(rows) == metrics["samples"]
+    assert max(rows) == block_rule(WIDE) and len(rows) > 1
+
+
+def test_evaluate_after_an_optimizer_step_sees_new_values():
+    prepared = wide_problem()
+    params = FtMixerParams.initialize(WIDE)
+    before = evaluate(params, WIDE, prepared, "test")
+    grads = [np.ones_like(p.values) for p in params.all()]
+    da.adam_step(params.all(), grads, da.AdamState(learning_rate=1e-2))
+    after = evaluate(params, WIDE, prepared, "test")
+    assert after["mse"] != before["mse"]
+    assert_metrics_close(after, tape_metrics(params, WIDE, prepared, "test"))
