@@ -1,31 +1,24 @@
 """Command line interface: train / eval / predict / spectrum / sweep.
 
 Settings come from built-in defaults, overridden by an INI-style
-``key = value`` config file (sections [model], [train], [io]), overridden
-by command-line flags.  Every artifact embeds the effective settings and
-seed.  Exit codes: 0 ok, 1 configuration error, 2 data error, 3 numeric
-abort.
+``key = value`` config file, overridden by command-line flags.  The
+[model] keys are the ModelConfig field names but ``channels`` (from the
+data) and ``seed`` (from [train]), the [train] keys are the TrainConfig
+field names (so the learning rate is ``learning_rate``, formerly ``lr``;
+the flag stays ``--lr``), and [io] holds data, output, checkpoint and
+ratios.  Every artifact embeds the effective settings and seed.  Exit
+codes: 0 ok, 1 configuration error, 2 data error, 3 numeric abort.
 """
 
 from __future__ import annotations
-
-import os
-
-# Honor the worker cap before numpy binds its thread pools (the import
-# chain below pulls numpy in).
-_threads = os.environ.get("FTMIX_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import csv
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import data as data_mod
 from . import spectral
@@ -39,73 +32,51 @@ from .model import (
 )
 from .train import TrainConfig, evaluate, run_length_sweep, train
 
-log = logging.getLogger(__name__)
 
-_DEFAULTS = {
-    "model": {
-        "lookback": 336,
-        "horizon": 96,
-        "fcc_embed_dim": 128,
-        "patch_embed_dim": 64,
-        "patch_scales": None,  # None -> derived from lookback
-        "fcc_kernel_size": None,
-        "wfc_kernel_size": 3,
-        "ds_dw_kernel_size": 3,
-        "revin_epsilon": 1e-5,
-    },
-    "train": {
-        "epochs": 30,
-        "batch_size": 32,
-        "lr": 1e-3,
-        "patience": 5,
-        "ablation": "full",
-        "seed": 0,
-    },
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+# keyed by annotation text: the config modules postpone annotations
+_FIELD_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _int_list,
+}
+
+
+def _field_settings(cls, skip=(), defaults=None) -> dict:
+    """key -> (default, parser) for each field of a config dataclass."""
+    defaults = defaults or {}
+    return {
+        f.name: (defaults.get(f.name, f.default), _FIELD_PARSERS[f.type])
+        for f in fields(cls)
+        if f.name not in skip
+    }
+
+
+_SETTINGS = {
+    # lookback and horizon have no field default; patch_scales None is
+    # derived from the lookback by default_patch_scales.
+    "model": _field_settings(
+        ModelConfig,
+        skip=("channels", "seed"),
+        defaults={"lookback": 336, "horizon": 96, "patch_scales": None},
+    ),
+    "train": _field_settings(TrainConfig),
     "io": {
-        "data": None,
-        "output": "ftmixer_out",
-        "checkpoint": None,
-        "ratios": (0.6, 0.2, 0.2),
+        "data": (None, str),
+        "output": ("ftmixer_out", str),
+        "checkpoint": (None, str),
+        "ratios": ((0.6, 0.2, 0.2), _float_list),
     },
 }
-
-_PARSERS = {
-    ("model", "lookback"): int,
-    ("model", "horizon"): int,
-    ("model", "fcc_embed_dim"): int,
-    ("model", "patch_embed_dim"): int,
-    ("model", "patch_scales"): lambda s: _int_list(s, "patch_scales"),
-    ("model", "fcc_kernel_size"): int,
-    ("model", "wfc_kernel_size"): int,
-    ("model", "ds_dw_kernel_size"): int,
-    ("model", "revin_epsilon"): float,
-    ("train", "epochs"): int,
-    ("train", "batch_size"): int,
-    ("train", "lr"): float,
-    ("train", "patience"): int,
-    ("train", "ablation"): str,
-    ("train", "seed"): int,
-    ("io", "data"): str,
-    ("io", "output"): str,
-    ("io", "checkpoint"): str,
-    ("io", "ratios"): lambda s: _float_list(s, "ratios"),
-}
-
-
-def _int_list(text: str, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{name}: expected comma-separated integers, got {text!r}") from None
-
-
-def _float_list(text, name: str) -> tuple[float, ...]:
-    if isinstance(text, tuple):
-        return text
-    try:
-        return tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,74 +99,45 @@ def _read_config_file(path) -> dict:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     merged: dict = {}
     for section in parser.sections():
-        if section not in _DEFAULTS:
+        if section not in _SETTINGS:
             raise ConfigError(f"unknown config section [{section}]")
         merged[section] = {}
-        for key, value in parser.items(section):
-            if key not in _DEFAULTS[section]:
+        for key, text in parser.items(section):
+            if key not in _SETTINGS[section]:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            merged[section][key] = _PARSERS[(section, key)](value)
+            try:
+                merged[section][key] = _SETTINGS[section][key][1](text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from None
     return merged
 
 
 def _effective_settings(args) -> dict:
-    """defaults <- config file <- flags."""
-    effective = {section: dict(values) for section, values in _DEFAULTS.items()}
+    """defaults <- config file <- flags; a flag's dest is its key."""
+    effective = {
+        section: {key: default for key, (default, _) in keys.items()}
+        for section, keys in _SETTINGS.items()
+    }
     if args.config:
         for section, values in _read_config_file(args.config).items():
             effective[section].update(values)
-    flag_map = [
-        ("model", "lookback", "lookback"),
-        ("model", "horizon", "horizon"),
-        ("model", "patch_scales", "patch_scales"),
-        ("train", "epochs", "epochs"),
-        ("train", "batch_size", "batch_size"),
-        ("train", "lr", "lr"),
-        ("train", "patience", "patience"),
-        ("train", "ablation", "ablation"),
-        ("train", "seed", "seed"),
-        ("io", "data", "data"),
-        ("io", "output", "output"),
-        ("io", "checkpoint", "checkpoint"),
-        ("io", "ratios", "ratios"),
-    ]
-    for section, key, attr in flag_map:
-        value = getattr(args, attr, None)
-        if value is not None:
-            effective[section][key] = value
+    for values in effective.values():
+        for key in values:
+            flag = getattr(args, key, None)
+            if flag is not None:
+                values[key] = flag
     return effective
 
 
 def _model_config(settings: dict, channels: int) -> ModelConfig:
-    m = settings["model"]
-    scales = m["patch_scales"]
-    if scales is None:
-        scales = default_patch_scales(m["lookback"])
-    return ModelConfig(
-        lookback=m["lookback"],
-        horizon=m["horizon"],
-        channels=channels,
-        fcc_embed_dim=m["fcc_embed_dim"],
-        patch_scales=tuple(scales),
-        patch_embed_dim=m["patch_embed_dim"],
-        fcc_kernel_size=m["fcc_kernel_size"],
-        wfc_kernel_size=m["wfc_kernel_size"],
-        ds_dw_kernel_size=m["ds_dw_kernel_size"],
-        revin_epsilon=m["revin_epsilon"],
-        seed=settings["train"]["seed"],
-    )
+    model = dict(settings["model"])
+    if model["patch_scales"] is None:
+        model["patch_scales"] = default_patch_scales(model["lookback"])
+    return ModelConfig(channels=channels, seed=settings["train"]["seed"], **model)
 
 
 def _train_config(settings: dict) -> TrainConfig:
-    t = settings["train"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        learning_rate=t["lr"],
-        patience=t["patience"],
-        seed=t["seed"],
-        ablation=t["ablation"],
-    )
+    return TrainConfig(**settings["train"])
 
 
 def _require_data(settings: dict) -> data_mod.SeriesDataset:
@@ -203,13 +145,6 @@ def _require_data(settings: dict) -> data_mod.SeriesDataset:
     if not path:
         raise ConfigError("no dataset given; pass --data or set io.data in the config file")
     return data_mod.load_csv(path)
-
-
-def _ratios(settings: dict) -> tuple[float, float, float]:
-    ratios = tuple(settings["io"]["ratios"])
-    if len(ratios) != 3:
-        raise ConfigError(f"ratios needs three values, got {ratios}")
-    return ratios  # type: ignore[return-value]
 
 
 def _out_dir(settings: dict) -> Path:
@@ -246,7 +181,7 @@ def cmd_train(args) -> int:
     model_config = _model_config(settings, raw.channels)
     train_config = _train_config(settings)
     prepared = data_mod.prepare(
-        raw, _ratios(settings), model_config.lookback, model_config.horizon
+        raw, settings["io"]["ratios"], model_config.lookback, model_config.horizon
     )
     out = _out_dir(settings)
     checkpoint = out / "checkpoint.ftm"
@@ -269,33 +204,44 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_eval(args, settings):
+def _load_for_eval(settings):
+    """Checkpoint parameters, the prepared dataset, and the ablation the
+    checkpoint was trained with ("full" when it records none)."""
     path = settings["io"]["checkpoint"]
     if not path:
         raise ConfigError("no checkpoint given; pass --checkpoint")
     params, meta = load_checkpoint(path)
+    trained_with = meta.get("train_config", {})
+    ablation = trained_with.get("ablation", "full") if isinstance(trained_with, dict) else None
+    if ablation not in ABLATIONS:
+        raise DataError(f"{path}: malformed train_config: {trained_with!r}")
     raw = _require_data(settings)
     prepared = data_mod.prepare(
-        raw, _ratios(settings), params.config.lookback, params.config.horizon
+        raw, settings["io"]["ratios"], params.config.lookback, params.config.horizon
     )
-    return params, prepared
+    return params, prepared, ablation
 
 
 def cmd_eval(args) -> int:
     settings = _effective_settings(args)
-    params, prepared = _load_for_eval(args, settings)
-    metrics = evaluate(params, params.config, prepared, args.split)
-    payload = dict(metrics)
-    payload["config"] = settings
+    params, prepared, ablation = _load_for_eval(settings)
+    metrics = evaluate(
+        params,
+        params.config,
+        prepared,
+        args.split,
+        batch_size=_train_config(settings).eval_batch_size,
+        ablation=ablation,
+    )
     out = _out_dir(settings)
-    _write_json(out / "metrics.json", payload)
+    _write_json(out / "metrics.json", dict(metrics, config=settings))
     print(json.dumps(metrics, sort_keys=True))
     return 0
 
 
 def cmd_predict(args) -> int:
     settings = _effective_settings(args)
-    params, prepared = _load_for_eval(args, settings)
+    params, prepared, ablation = _load_for_eval(settings)
     config = params.config
     span = config.lookback + config.horizon
     start = args.start if args.start is not None else prepared.val_end
@@ -306,7 +252,7 @@ def cmd_predict(args) -> int:
         )
     window = prepared.values[:, start : start + span]
     pred_std = ftmixer_forward(
-        window[None, :, : config.lookback], params.frozen(), config
+        window[None, :, : config.lookback], params.frozen(), config, ablation=ablation
     ).values[0]
     stats = prepared.norm_stats
     predicted = data_mod.destandardize(pred_std, stats)
@@ -349,10 +295,13 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     settings = _effective_settings(args)
     raw = _require_data(settings)
-    lengths = _int_list(args.lengths, "lengths") if args.lengths else (96, 192, 336, 720)
-    train_config = _train_config(settings)
     rows = run_length_sweep(
-        raw, _ratios(settings), lengths, settings["model"]["horizon"], train_config
+        raw,
+        settings["io"]["ratios"],
+        args.lengths,
+        settings["model"]["horizon"],
+        _train_config(settings),
+        base_config=_model_config(settings, raw.channels),
     )
     out = _out_dir(settings)
     _write_csv(
@@ -378,19 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="dataset CSV (first column 'date')")
         p.add_argument("--output", help="artifact directory")
         p.add_argument("--seed", type=int, help="seed for init and shuffling")
-        p.add_argument("--ratios", type=lambda s: _float_list(s, "ratios"),
+        p.add_argument("--ratios", type=_float_list,
                        help="train,val,test fractions (default 0.6,0.2,0.2)")
 
     def model_flags(p):
         p.add_argument("--lookback", type=int)
         p.add_argument("--horizon", type=int)
-        p.add_argument("--patch-scales", dest="patch_scales",
-                       type=lambda s: _int_list(s, "patch-scales"))
+        p.add_argument("--patch-scales", dest="patch_scales", type=_int_list)
 
     def train_flags(p):
         p.add_argument("--epochs", type=int)
         p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
+        p.add_argument("--lr", dest="learning_rate", type=float)
         p.add_argument("--patience", type=int)
         p.add_argument("--ablation", choices=ABLATIONS)
 
@@ -422,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="train across lookback lengths")
     shared(p_sweep)
     train_flags(p_sweep)
-    p_sweep.add_argument("--lengths", help="comma-separated lookbacks (default 96,192,336,720)")
+    p_sweep.add_argument("--lengths", type=_int_list, default=(96, 192, 336, 720),
+                         help="comma-separated lookbacks (default 96,192,336,720)")
     p_sweep.add_argument("--horizon", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -78,8 +78,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.fcc_kernel_size is not None and self.fcc_kernel_size < 1:
             raise ConfigError(f"fcc_kernel_size must be >= 1, got {self.fcc_kernel_size}")
-        if self.revin_epsilon <= 0:
-            raise ConfigError(f"revin_epsilon must be > 0, got {self.revin_epsilon}")
+        if not 0 < self.revin_epsilon < np.inf:
+            raise ConfigError(f"revin_epsilon must be finite and > 0, got {self.revin_epsilon}")
 
     @property
     def fcc_kernel(self) -> int:
@@ -251,7 +251,8 @@ def save_checkpoint(path, params: FtMixerParams, extra_metadata: dict | None = N
 
 
 def load_checkpoint(path) -> tuple[FtMixerParams, dict]:
-    """Parameters and metadata of a checkpoint; any defect raises DataError."""
+    """Parameters and metadata of a checkpoint; any defect, a non-finite
+    parameter value included, raises DataError."""
     arrays, meta = da.load_arrays(path)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
@@ -259,9 +260,13 @@ def load_checkpoint(path) -> tuple[FtMixerParams, dict]:
         raise DataError(f"{path}: missing or malformed model_config: {exc!r}") from None
     entries = {name: da.parameter(arr) for name, arr in arrays.items()}
     try:
-        return FtMixerParams(config, entries), meta
+        params = FtMixerParams(config, entries)
     except ContractError as exc:
         raise DataError(f"{path}: parameters do not match model_config: {exc}") from None
+    for name in params.names():
+        if not np.isfinite(params[name].values).all():
+            raise DataError(f"{path}: parameter {name} holds a non-finite value")
+    return params, meta
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,12 +50,11 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("learning_rate", "clip_norm"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if not self.clip_norm > 0:
-            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.eval_batch_size < 1:
             raise ConfigError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         if self.ablation not in ABLATIONS:
@@ -106,7 +105,7 @@ def evaluate(
     model_config: ModelConfig,
     dataset: SeriesDataset,
     split: str,
-    batch_size: int = 256,
+    batch_size: int = TrainConfig.eval_batch_size,
     ablation: str = "full",
 ) -> dict:
     """Stride-1 metrics over every window of a split, tail batch included.
@@ -305,26 +304,22 @@ def run_length_sweep(
 ) -> list[dict]:
     """One trained model per lookback length; returns MSE/MAE table rows.
 
-    Patch scales are re-derived per length so every scale divides it.
+    Each length's model config is ``base_config`` (default: the
+    ModelConfig defaults) at that lookback, ``horizon`` and the training
+    seed, with patch scales re-derived so every scale divides the length.
     """
     rows = []
     for lookback in lengths:
-        kwargs = dict(
+        per_length = dict(
             lookback=int(lookback),
             horizon=horizon,
-            channels=raw_dataset.channels,
             patch_scales=default_patch_scales(int(lookback)),
+            seed=train_config.seed,
         )
-        if base_config is not None:
-            kwargs.update(
-                fcc_embed_dim=base_config.fcc_embed_dim,
-                patch_embed_dim=base_config.patch_embed_dim,
-                wfc_kernel_size=base_config.wfc_kernel_size,
-                ds_dw_kernel_size=base_config.ds_dw_kernel_size,
-                revin_epsilon=base_config.revin_epsilon,
-            )
-        kwargs["seed"] = train_config.seed
-        config = ModelConfig(**kwargs)
+        if base_config is None:
+            config = ModelConfig(channels=raw_dataset.channels, **per_length)
+        else:
+            config = replace(base_config, **per_length)
         prepared = data_mod.prepare(raw_dataset, ratios, config.lookback, horizon)
         report, _ = train(config, train_config, prepared)
         log.info(

@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, artifacts, config merging."""
 
 import csv
+import importlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ftmixer import cli
 from ftmixer.cli import main
 from ftmixer.model import FtMixerParams, ModelConfig, save_checkpoint
+from ftmixer.train import TrainConfig
 
 from helpers import sinusoid_dataset
 
@@ -214,3 +218,156 @@ def test_config_file_unknown_key_exits_1(series_csv, tmp_path, capsys):
     code = main(["train", "--config", str(cfg), "--data", str(series_csv)])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "lookback", "abc"),
+    ("train", "learning_rate", "fast"),
+])
+def test_config_file_value_that_does_not_parse_exits_1(series_csv, tmp_path, capsys,
+                                                       section, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--data", str(series_csv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ftmixer: error: config:" in err
+    assert f"[{section}] {key} = {value!r}" in err
+
+
+@pytest.mark.parametrize("ablation", ["no_fcc", "no_wfc"])
+def test_eval_reproduces_report_for_ablated_checkpoint(series_csv, tmp_path, capsys, ablation):
+    out = tmp_path / "run"
+    assert main(train_args(series_csv, out, extra=["--ablation", ablation])) == 0
+    report = json.loads((out / "report.json").read_text())
+    capsys.readouterr()
+    code = main([
+        "eval",
+        "--data", str(series_csv),
+        "--output", str(out),
+        "--checkpoint", str(out / "checkpoint.ftm"),
+        "--split", "test",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["mse"] == report["report"]["test_mse"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_on_non_finite_checkpoint_exits_2(series_csv, tmp_path, capsys, bad):
+    path = tmp_path / "checkpoint.ftm"
+    params = FtMixerParams.initialize(
+        ModelConfig(lookback=48, horizon=12, channels=2, patch_scales=(12, 24))
+    )
+    params["fcc_embed_b"].values[3] = bad
+    save_checkpoint(path, params)
+    code = main([
+        "eval",
+        "--data", str(series_csv),
+        "--output", str(tmp_path / "run"),
+        "--checkpoint", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ftmixer: error: data:" in err and "fcc_embed_b" in err
+
+
+@pytest.mark.parametrize("train_config", ["full", {"ablation": "bogus"}])
+def test_eval_on_malformed_train_config_exits_2(series_csv, tmp_path, capsys, train_config):
+    path = tmp_path / "checkpoint.ftm"
+    config = ModelConfig(lookback=48, horizon=12, channels=2, patch_scales=(12, 24))
+    save_checkpoint(path, FtMixerParams.initialize(config), {"train_config": train_config})
+    code = main([
+        "eval",
+        "--data", str(series_csv),
+        "--output", str(tmp_path / "run"),
+        "--checkpoint", str(path),
+    ])
+    assert code == 2
+    assert "malformed train_config" in capsys.readouterr().err
+
+
+def test_sweep_honours_config_file_model_keys(series_csv, tmp_path, monkeypatch):
+    # the package exports the function train() under the module's name
+    train_mod = importlib.import_module("ftmixer.train")
+    real_train = train_mod.train
+    seen = []
+
+    def spy(model_config, *args, **kwargs):
+        seen.append(model_config)
+        return real_train(model_config, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "train", spy)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[model]\nfcc_embed_dim = 8\n", encoding="utf-8")
+    code = main([
+        "sweep", "--config", str(cfg), "--data", str(series_csv),
+        "--output", str(tmp_path / "sweep"), "--lengths", "24,48",
+        "--horizon", "12", "--epochs", "1",
+    ])
+    assert code == 0
+    assert [c.lookback for c in seen] == [24, 48]
+    assert all(c.fcc_embed_dim == 8 for c in seen)
+
+
+# One non-default value for every config field the INI file can set.
+FILE_SETTINGS = {
+    "model": {
+        "lookback": ("48", 48),
+        "horizon": ("12", 12),
+        "fcc_embed_dim": ("8", 8),
+        "patch_scales": ("6,16", (6, 16)),
+        "patch_embed_dim": ("4", 4),
+        "fcc_kernel_size": ("1", 1),
+        "wfc_kernel_size": ("2", 2),
+        "ds_dw_kernel_size": ("5", 5),
+        "revin_epsilon": ("0.001", 0.001),
+    },
+    "train": {
+        "epochs": ("1", 1),
+        "batch_size": ("7", 7),
+        "learning_rate": ("0.002", 0.002),
+        "patience": ("2", 2),
+        "seed": ("4", 4),
+        "ablation": ("no_time_loss", "no_time_loss"),
+        "clip_norm": ("3.0", 3.0),
+        "eval_batch_size": ("9", 9),
+    },
+}
+
+
+def test_every_config_field_is_settable_from_the_config_file(series_csv, tmp_path,
+                                                             monkeypatch):
+    model_fields = {f.name: f.default for f in fields(ModelConfig)}
+    train_fields = {f.name: f.default for f in fields(TrainConfig)}
+    assert set(FILE_SETTINGS["model"]) == set(model_fields) - {"channels", "seed"}
+    assert set(FILE_SETTINGS["train"]) == set(train_fields)
+    built = []
+    real_train = cli.train
+
+    def spy(model_config, train_config, dataset, checkpoint_path=None):
+        built.append((model_config, train_config))
+        return real_train(model_config, train_config, dataset, checkpoint_path)
+
+    monkeypatch.setattr(cli, "train", spy)
+    cfg = tmp_path / "all.ini"
+    cfg.write_text(
+        "".join(
+            f"[{section}]\n" + "".join(f"{k} = {text}\n" for k, (text, _) in keys.items())
+            for section, keys in FILE_SETTINGS.items()
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--data", str(series_csv),
+                 "--output", str(out)]) == 0
+    (model_config, train_config), = built
+    for config, section, defaults in (
+        (model_config, "model", model_fields),
+        (train_config, "train", train_fields),
+    ):
+        for key, (_, value) in FILE_SETTINGS[section].items():
+            assert value != defaults[key], key
+            assert getattr(config, key) == value, key
+    assert model_config.channels == 2 and model_config.seed == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["train"]["learning_rate"] == 0.002

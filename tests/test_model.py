@@ -74,6 +74,9 @@ def test_config_rejects_bad_dims():
         ModelConfig(lookback=24, horizon=0, channels=2, patch_scales=(6,))
     with pytest.raises(ConfigError):
         ModelConfig(lookback=24, horizon=4, channels=2, patch_scales=(6,), revin_epsilon=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ModelConfig(lookback=24, horizon=4, channels=2, patch_scales=(6,), revin_epsilon=bad)
 
 
 def test_default_patch_scales():
@@ -453,4 +456,15 @@ def test_checkpoint_with_bad_model_config_raises_data_error(tmp_path, meta):
     path = tmp_path / "model.ftm"
     da.save_arrays(path, {n: params[n].values for n in params.names()}, meta)
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_with_non_finite_parameter_raises_data_error(tmp_path, bad):
+    params = FtMixerParams.initialize(TINY)
+    params["pred_w"].values[0, 1] = bad
+    params["ds_pw_k"].values[2, 0, 0] = bad  # the first in parameter order
+    path = tmp_path / "model.ftm"
+    save_checkpoint(path, params)
+    with pytest.raises(DataError, match="parameter ds_pw_k holds a non-finite value"):
         load_checkpoint(path)

@@ -145,6 +145,26 @@ def test_length_sweep_rows_and_scale_validation():
         assert np.isfinite(row["mse"]) and np.isfinite(row["mae"])
 
 
+def test_length_sweep_keeps_base_config(monkeypatch):
+    raw = sinusoid_dataset(steps=700, period=24.0, channels=2)
+    seen = []
+
+    def spy(model_config, train_config, dataset, checkpoint_path=None):
+        seen.append(model_config)
+        return RunReport(), None
+
+    monkeypatch.setattr(train_mod, "train", spy)
+    base = ModelConfig(lookback=336, horizon=96, channels=2, fcc_embed_dim=8, fcc_kernel_size=1)
+    tc = TrainConfig(epochs=1, seed=7)
+    run_length_sweep(raw, RATIOS, lengths=(24, 48), horizon=12, train_config=tc,
+                     base_config=base)
+    assert [c.lookback for c in seen] == [24, 48]
+    for config in seen:
+        assert config.fcc_kernel_size == 1 and config.fcc_embed_dim == 8
+        assert config.horizon == 12 and config.seed == 7
+        assert config.patch_scales == default_patch_scales(config.lookback)
+
+
 def test_run_report_serializable():
     report = RunReport()
     d = report.to_dict()
@@ -164,6 +184,7 @@ def test_epoch_records_pre_clip_gradient_norms(clip_norm, share):
 
 @pytest.mark.parametrize("kwargs", [
     {"clip_norm": -1.0}, {"clip_norm": 0.0}, {"eval_batch_size": 0},
+    {"clip_norm": np.inf}, {"learning_rate": np.nan}, {"learning_rate": np.inf},
 ])
 def test_train_config_rejects_non_positive_clip_and_eval_batch(kwargs):
     with pytest.raises(ConfigError):
