@@ -42,7 +42,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 # keyed by annotation text: the config modules postpone annotations
-_FIELD_PARSERS = {
+_PARSE_BY_ANNOTATION = {
     "int": int,
     "int | None": int,
     "float": float,
@@ -55,7 +55,7 @@ def _field_settings(cls, skip=(), defaults=None) -> dict:
     """key -> (default, parser) for each field of a config dataclass."""
     defaults = defaults or {}
     return {
-        f.name: (defaults.get(f.name, f.default), _FIELD_PARSERS[f.type])
+        f.name: (defaults.get(f.name, f.default), _PARSE_BY_ANNOTATION[f.type])
         for f in fields(cls)
         if f.name not in skip
     }
