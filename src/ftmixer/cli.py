@@ -6,7 +6,8 @@ Settings come from built-in defaults, overridden by an INI-style
 data) and ``seed`` (from [train]), the [train] keys are the TrainConfig
 field names (so the learning rate is ``learning_rate``, formerly ``lr``;
 the flag stays ``--lr``), and [io] holds data, output, checkpoint and
-ratios.  Every artifact embeds the effective settings and seed.  Exit
+ratios.  Every artifact embeds the effective settings and seed, and is
+written under a temporary name, then renamed into place.  Exit
 codes: 0 ok, 1 configuration error, 2 data error, 3 numeric abort.
 """
 
@@ -21,6 +22,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import data as data_mod
+from . import diffarray as da
 from . import spectral
 from .errors import ConfigError, DataError, FtMixerError, NumericError
 from .model import (
@@ -129,8 +131,8 @@ def _effective_settings(args) -> dict:
     return effective
 
 
-def _model_config(settings: dict, channels: int) -> ModelConfig:
-    model = dict(settings["model"])
+def _model_config(settings: dict, channels: int, **overrides) -> ModelConfig:
+    model = dict(settings["model"], **overrides)
     if model["patch_scales"] is None:
         model["patch_scales"] = default_patch_scales(model["lookback"])
     return ModelConfig(channels=channels, seed=settings["train"]["seed"], **model)
@@ -158,7 +160,7 @@ def _config_header(settings: dict) -> str:
 
 
 def _write_csv(path: Path, settings: dict, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with da._atomic_file(path, text=True) as f:
         f.write(_config_header(settings) + "\n")
         writer = csv.writer(f)
         writer.writerow(header)
@@ -166,7 +168,7 @@ def _write_csv(path: Path, settings: dict, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with da._atomic_file(path, text=True) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -294,14 +296,19 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep(args) -> int:
     settings = _effective_settings(args)
+    if not args.lengths:
+        raise ConfigError("--lengths names no lookback")
     raw = _require_data(settings)
+    # every length replaces the lookback and patch scales, so [model]'s
+    # own are never used: check the rest at the first length
+    first = args.lengths[0]
     rows = run_length_sweep(
         raw,
         settings["io"]["ratios"],
         args.lengths,
         settings["model"]["horizon"],
         _train_config(settings),
-        base_config=_model_config(settings, raw.channels),
+        base_config=_model_config(settings, raw.channels, lookback=first, patch_scales=None),
     )
     out = _out_dir(settings)
     _write_csv(

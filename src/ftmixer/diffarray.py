@@ -31,6 +31,7 @@ import math
 import os
 import string
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -585,31 +586,43 @@ def save_arrays(path, arrays: dict[str, Array], metadata: dict | None = None) ->
     u32 entry count, then per entry: u16 name length + name, u8 ndim,
     u32 dims, little-endian float64 payload.  Round trips bit-exactly.
 
-    The file is written under a temporary name in the same directory,
-    synced, then renamed over ``path``, so ``path`` is never half-written.
-    A save that raises (an interrupt included) removes its temporary file
-    and leaves the previous file as it was.
+    The file is written through :func:`_atomic_file`, so ``path`` is never
+    half-written.
     """
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
+    with _atomic_file(path) as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<I", CONTAINER_VERSION))
+        f.write(struct.pack("<I", len(meta)))
+        f.write(meta)
+        f.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            a = np.ascontiguousarray(arr, dtype="<f8")
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<B", a.ndim))
+            if a.ndim:
+                f.write(struct.pack(f"<{a.ndim}I", *a.shape))
+            f.write(a.tobytes())
+
+
+@contextmanager
+def _atomic_file(path, text: bool = False):
+    """A new file that replaces ``path`` only once it is complete.
+
+    Yields a file opened for writing (binary, or with ``text`` UTF-8 text
+    with newlines as written) under a temporary name in ``path``'s
+    directory.  When the block ends it is synced and renamed over
+    ``path``; when the block raises (an interrupt included) it is removed
+    and ``path`` stays as it was.
+    """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    f = open(tmp, "xb")
+    f = open(tmp, "x", encoding="utf-8", newline="") if text else open(tmp, "xb")
     try:
         with f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<I", CONTAINER_VERSION))
-            f.write(struct.pack("<I", len(meta)))
-            f.write(meta)
-            f.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                a = np.ascontiguousarray(arr, dtype="<f8")
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<H", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<B", a.ndim))
-                if a.ndim:
-                    f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-                f.write(a.tobytes())
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -19,6 +19,7 @@ from .model import (
     ModelConfig,
     default_patch_scales,
     ftmixer_forward,
+    require_int_fields,
     save_checkpoint,
 )
 
@@ -46,6 +47,7 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -309,6 +309,48 @@ def test_sweep_honours_config_file_model_keys(series_csv, tmp_path, monkeypatch)
     assert all(c.fcc_embed_dim == 8 for c in seen)
 
 
+def test_sweep_ignores_model_patch_scales_it_replaces(series_csv, tmp_path, monkeypatch):
+    train_mod = importlib.import_module("ftmixer.train")
+    real_train = train_mod.train
+    seen = []
+
+    def spy(model_config, *args, **kwargs):
+        seen.append(model_config)
+        return real_train(model_config, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "train", spy)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[model]\npatch_scales = 5\n", encoding="utf-8")
+    code = main([
+        "sweep", "--config", str(cfg), "--data", str(series_csv),
+        "--output", str(tmp_path / "sweep"), "--lengths", "24,48",
+        "--horizon", "12", "--epochs", "1",
+    ])
+    assert code == 0
+    assert [c.lookback for c in seen] == [24, 48]
+    assert 5 not in {w for c in seen for w in c.patch_scales}
+
+
+def test_sweep_without_lengths_is_config_error(series_csv, tmp_path, capsys):
+    code = main(["sweep", "--data", str(series_csv), "--output", str(tmp_path / "sweep"),
+                 "--lengths", ","])
+    assert code == 1
+    assert "--lengths names no lookback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: cli._write_json(path, {"a": 1, "b": object()}),
+    lambda path: cli._write_csv(path, {}, ["x"], ([i] if i < 3 else 1 / 0 for i in range(5))),
+], ids=["json", "csv"])
+def test_artifact_writers_leave_old_file_on_failure(tmp_path, write):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous run\n")
+    with pytest.raises((TypeError, ZeroDivisionError)):
+        write(path)
+    assert path.read_bytes() == b"previous run\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # One non-default value for every config field the INI file can set.
 FILE_SETTINGS = {
     "model": {

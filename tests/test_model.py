@@ -77,6 +77,11 @@ def test_config_rejects_bad_dims():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             ModelConfig(lookback=24, horizon=4, channels=2, patch_scales=(6,), revin_epsilon=bad)
+    for bad in ({"fcc_embed_dim": float("nan")}, {"wfc_kernel_size": 2.5},
+                {"fcc_kernel_size": float("nan")}, {"patch_scales": (6.5,)}):
+        with pytest.raises(ConfigError):
+            ModelConfig(**{"lookback": 24, "horizon": 4, "channels": 2, "patch_scales": (6,),
+                           **bad})
 
 
 def test_default_patch_scales():
@@ -374,6 +379,65 @@ def test_frozen_set_is_read_only_untracked_and_memoizes():
     params.fold("key", build)
     params.fold("key", build)
     assert len(builds) == 3  # a tracked set builds on every call
+
+
+@pytest.mark.parametrize("config", [FULL, TINY, EVEN], ids=["full", "tiny", "even"])
+def test_fcc_head_fold_matches_branch_then_head(config):
+    params = FtMixerParams.initialize(config)
+    x = np.random.default_rng(40).standard_normal((3, config.channels, config.lookback))
+    expected = fcc_forward(DiffArray(x), params, config).values @ params["pred_w"].values
+    out = fcc_forward(DiffArray(x), params.frozen(), config, head=True)
+    assert out.shape == (3, config.channels, config.horizon)
+    assert np.max(np.abs(out.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("config", [FULL, TINY, EVEN], ids=["full", "tiny", "even"])
+def test_ds_conv_head_fold_matches_branch_then_head(config):
+    params = FtMixerParams.initialize(config)
+    z = np.random.default_rng(41).standard_normal(
+        (3, config.channels, config.total_patches, config.patch_embed_dim))
+    expected = ds_conv(DiffArray(z), params, config).values @ params["pred_w"].values
+    out = ds_conv(DiffArray(z), params.frozen(), config, head=True)
+    assert out.shape == (3, config.channels, config.horizon)
+    assert np.max(np.abs(out.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def spy_on_folds(monkeypatch) -> list[str]:
+    """Patch FtMixerParams.fold to log the key of every fold it builds."""
+    built = []
+    original = FtMixerParams.fold
+
+    def fold(self, key, build):
+        def logged_build():
+            built.append(key)
+            return build()
+
+        return original(self, key, logged_build)
+
+    monkeypatch.setattr(FtMixerParams, "fold", fold)
+    return built
+
+
+HEAD_FOLDS = ["fcc_head_w", "fcc_head_b", "ds_head_w", "ds_head_b"]
+
+
+def test_frozen_forward_builds_each_head_fold_once(monkeypatch):
+    params = FtMixerParams.initialize(TINY)
+    frozen = params.frozen()
+    assert frozen.is_frozen and not params.is_frozen
+    built = spy_on_folds(monkeypatch)
+    x = np.random.default_rng(42).standard_normal((2, TINY.channels, TINY.lookback))
+    for _ in range(2):
+        ftmixer_forward(DiffArray(x), frozen, TINY)
+    assert sorted(k for k in built if "head" in k) == sorted(HEAD_FOLDS)
+
+
+def test_tracked_forward_requests_no_head_fold(monkeypatch):
+    params = FtMixerParams.initialize(TINY)
+    built = spy_on_folds(monkeypatch)
+    x = np.random.default_rng(43).standard_normal((2, TINY.channels, TINY.lookback))
+    ftmixer_forward(DiffArray(x), params, TINY)
+    assert built and not [k for k in built if "head" in k]
 
 
 def test_every_parameter_gets_gradient():

@@ -185,6 +185,8 @@ def test_epoch_records_pre_clip_gradient_norms(clip_norm, share):
 @pytest.mark.parametrize("kwargs", [
     {"clip_norm": -1.0}, {"clip_norm": 0.0}, {"eval_batch_size": 0},
     {"clip_norm": np.inf}, {"learning_rate": np.nan}, {"learning_rate": np.inf},
+    {"epochs": np.nan}, {"epochs": 2.5}, {"batch_size": np.nan}, {"patience": 1.5},
+    {"eval_batch_size": np.nan},
 ])
 def test_train_config_rejects_non_positive_clip_and_eval_batch(kwargs):
     with pytest.raises(ConfigError):
