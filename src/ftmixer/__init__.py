@@ -20,7 +20,9 @@ from .model import (
     save_checkpoint,
 )
 from .spectral import dct, dft_symmetric_extension_oracle, idct
-from .train import RunReport, TrainConfig, evaluate, run_length_sweep, train
+# ``train`` the function stays at ``ftmixer.train.train``: re-exported here it
+# would shadow the submodule of the same name.
+from .train import RunReport, TrainConfig, evaluate, run_length_sweep
 
 __version__ = "0.1.0"
 
@@ -54,5 +56,4 @@ __all__ = [
     "parameter",
     "run_length_sweep",
     "save_checkpoint",
-    "train",
 ]

@@ -42,6 +42,7 @@ All entry points accept an optional leading batch dimension.
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -209,6 +210,7 @@ class FtMixerParams:
         self._order = list(spec)
         self._entries = entries
         self._folds: dict[str, DiffArray] | None = None  # memo of a frozen set
+        self._fold_lock = threading.RLock()
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "FtMixerParams":
@@ -242,7 +244,9 @@ class FtMixerParams:
         local branch's ``W_ds @ P`` and ``b_ds @ P``.  Those folds are only
         valid while the values stay as they were when the set was made, and
         an optimizer step changes them in place; so build a frozen set for
-        one evaluation or prediction and never keep it.
+        one evaluation or prediction and never keep it.  Within that use,
+        threads may share the set: its forward only reads, and :meth:`fold`
+        builds each fold once however many threads ask for it first.
         """
         entries = {}
         for name in self._order:
@@ -263,13 +267,16 @@ class FtMixerParams:
         """``build()``, memoized under ``key`` on a frozen set.
 
         A tracked set builds on every call: its values change between
-        forwards, and the gradient flows through the fold to them.
+        forwards, and the gradient flows through the fold to them.  On a
+        frozen set the lookup and the build hold a lock, so threads that
+        ask for one key at once get one build between them.
         """
         if self._folds is None:
             return build()
-        if key not in self._folds:
-            self._folds[key] = build()
-        return self._folds[key]
+        with self._fold_lock:
+            if key not in self._folds:
+                self._folds[key] = build()
+            return self._folds[key]
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: self._entries[name].values.copy() for name in self._order}

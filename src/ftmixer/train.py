@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -31,7 +33,11 @@ log = logging.getLogger(__name__)
 # paper shape, B=256, median of 4 interleaved rounds: 128 KiB (1 row) 1235,
 # 256 KiB (3) 2161, 512 KiB (6) 2713, 1 MiB (13) 2888, 2 MiB (27) 2909,
 # 4 MiB (55) 2634, unblocked (256) 1864.  1 and 2 MiB tie; the smaller
-# leaves L2 room for the weights.
+# leaves L2 room for the weights.  Re-measured after the head fold, BLAS at
+# 1 thread, median of 8 interleaved rounds, serial / 2 workers: 512 KiB
+# (6 rows) 3718 / 5077, 1 MiB (13) 3883 / 6099, 1.5 MiB (20) 3754 / 6352,
+# 2 MiB (27) 3846 / 5630.  13 and 20 rows tie within the rounds' spread, so
+# the budget stays.
 EVAL_BLOCK_BUDGET = 1 << 20
 
 
@@ -102,6 +108,25 @@ class RunReport:
         }
 
 
+def _eval_workers() -> int:
+    """The worker count ``W`` of :func:`evaluate`: the cores the BLAS
+    threads leave free."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, cpus // blas_threads)
+
+
 def evaluate(
     params: FtMixerParams,
     model_config: ModelConfig,
@@ -125,6 +150,23 @@ def evaluate(
     patches and the global embedding) stays in cache: 13 windows at the
     paper shape, where 1 MiB tied for fastest in the sweep given at
     ``EVAL_BLOCK_BUDGET``.  Errors are summed per batch.
+
+    The blocks of a batch run on ``W`` workers, the calling thread and
+    ``W - 1`` helper threads (no thread when ``W = 1``), which take block
+    starts from one shared iterator; numpy releases the GIL inside BLAS
+    calls and ufunc loops, so the workers overlap.  ``W = max(1, cpus //
+    blas_threads)``.  ``cpus`` is the number of CPUs this process may run
+    on (``os.sched_getaffinity``, else ``os.cpu_count()``).
+    ``blas_threads`` is the first positive integer among
+    ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``;
+    when none is set it is ``cpus``, the OpenBLAS and MKL default.  So an
+    environment that leaves BLAS threading alone runs serially: its BLAS
+    threads already fill the cores, and workers on top only oversubscribe
+    them (measured slower on 2 cores).  Each block writes only its own
+    rows of the batch's prediction, and the errors are summed once every
+    block is done, so the metrics are bit-identical for any ``W``.  An
+    error in any block is raised as itself after every worker has
+    stopped.
     """
     if model_config.channels != dataset.channels:
         raise ConfigError(
@@ -139,21 +181,36 @@ def evaluate(
         model_config.fcc_embed_dim,
     )
     rows = max(1, EVAL_BLOCK_BUDGET // (8 * model_config.channels * widest))
+    helpers = _eval_workers() - 1
+
+    def drain(inputs, pred, blocks):
+        """Forward row blocks into ``pred`` until ``blocks`` runs out."""
+        for lo in blocks:
+            pred[lo : lo + rows] = ftmixer_forward(
+                inputs[lo : lo + rows], frozen, model_config, ablation=ablation
+            ).values
+
     sq_sum = 0.0
     abs_sum = 0.0
     elems = 0
-    for batch in iter_batches(
-        dataset, starts, model_config.lookback, model_config.horizon, batch_size
-    ):
-        pred = np.empty(batch.targets.shape)
-        for lo in range(0, len(pred), rows):
-            pred[lo : lo + rows] = ftmixer_forward(
-                batch.inputs[lo : lo + rows], frozen, model_config, ablation=ablation
-            ).values
-        diff = pred - batch.targets
-        sq_sum += float(np.sum(diff * diff))
-        abs_sum += float(np.sum(np.abs(diff)))
-        elems += diff.size
+    # a pool starts its threads on first submit, so W = 1 starts none
+    with ThreadPoolExecutor(max(1, helpers)) as pool:
+        for batch in iter_batches(
+            dataset, starts, model_config.lookback, model_config.horizon, batch_size
+        ):
+            pred = np.empty(batch.targets.shape)
+            work = (batch.inputs, pred, iter(range(0, len(pred), rows)))
+            running = [pool.submit(drain, *work) for _ in range(helpers)]
+            try:
+                drain(*work)
+            finally:
+                wait(running)
+            for future in running:
+                future.result()
+            diff = pred - batch.targets
+            sq_sum += float(np.sum(diff * diff))
+            abs_sum += float(np.sum(np.abs(diff)))
+            elems += diff.size
     return {
         "mse": sq_sum / elems,
         "mae": abs_sum / elems,

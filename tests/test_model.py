@@ -1,5 +1,8 @@
 """Network blocks: instance norm, both branches, mixer, full forward."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -379,6 +382,31 @@ def test_frozen_set_is_read_only_untracked_and_memoizes():
     params.fold("key", build)
     params.fold("key", build)
     assert len(builds) == 3  # a tracked set builds on every call
+
+
+def test_frozen_fold_is_built_once_under_concurrent_first_use():
+    frozen = FtMixerParams.initialize(TINY).frozen()
+    barrier = threading.Barrier(4)
+    builds = []
+    got = [None] * 4
+
+    def slow_build():
+        builds.append(1)
+        time.sleep(0.05)  # wide enough for the other threads to arrive
+        return DiffArray(np.zeros(1))
+
+    def first_use(i):
+        barrier.wait(timeout=10)
+        got[i] = frozen.fold("key", slow_build)
+
+    threads = [threading.Thread(target=first_use, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert len(builds) == 1
+    assert all(value is got[0] for value in got)
 
 
 @pytest.mark.parametrize("config", [FULL, TINY, EVEN], ids=["full", "tiny", "even"])

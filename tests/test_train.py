@@ -1,6 +1,10 @@
 """Training loop: convergence, determinism, early stop, abort, evaluation."""
 
 import importlib
+import os
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +24,6 @@ from ftmixer.train import RunReport, TrainConfig, evaluate, run_length_sweep, tr
 
 from helpers import sinusoid_dataset
 
-# the package exports the function train() under the module's name
 train_mod = importlib.import_module("ftmixer.train")
 
 RATIOS = (0.6, 0.2, 0.2)
@@ -267,3 +270,97 @@ def test_evaluate_after_an_optimizer_step_sees_new_values():
     after = evaluate(params, WIDE, prepared, "test")
     assert after["mse"] != before["mse"]
     assert_metrics_close(after, tape_metrics(params, WIDE, prepared, "test"))
+
+
+def test_train_submodule_is_not_shadowed_by_the_function():
+    import ftmixer
+    import ftmixer.train as module
+
+    assert isinstance(module, types.ModuleType) and module is train_mod
+    assert module.train is train and "train" not in ftmixer.__all__
+
+
+@pytest.mark.parametrize(
+    "cpus, env, workers",
+    [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {}, 1),  # BLAS threads default to one per CPU
+        (8, {"OMP_NUM_THREADS": "2"}, 4),
+        (8, {"MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),  # first set wins
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),  # 0 ignored
+        (2, {"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "1"}, 2),  # abc ignored
+        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "abc"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "4"}, 1),  # never below one
+    ],
+)
+def test_eval_worker_rule(monkeypatch, cpus, env, workers):
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert train_mod._eval_workers() == workers
+    monkeypatch.delattr(os, "sched_getaffinity")  # where affinity cannot be read
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert train_mod._eval_workers() == workers
+
+
+def meet_in_forward(monkeypatch, parties):
+    """Patch train's forward so the first forward of each thread waits until
+    ``parties`` threads are inside one; returns the set of forwarding threads."""
+    barrier = threading.Barrier(parties)
+    seen = set()
+
+    def forward(x, *args, **kwargs):
+        me = threading.get_ident()
+        if me not in seen:
+            seen.add(me)
+            barrier.wait(timeout=10)
+        return ftmixer_forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
+    return seen
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_fcc", "no_wfc"])
+def test_evaluate_bit_identical_for_any_worker_count(monkeypatch, ablation):
+    prepared = wide_problem()
+    params = FtMixerParams.initialize(WIDE)
+    samples = len(window_samples(prepared, "test", WIDE.lookback, WIDE.horizon))
+    assert samples >= 3 * block_rule(WIDE)  # a batch has a block for every worker
+    monkeypatch.setattr(train_mod, "_eval_workers", lambda: 1)
+    serial = evaluate(params, WIDE, prepared, "test", ablation=ablation)
+    monkeypatch.setattr(train_mod, "_eval_workers", lambda: 3)
+    threads = meet_in_forward(monkeypatch, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        pooled = evaluate(params, WIDE, prepared, "test", ablation=ablation)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 3
+    assert pooled["mse"] == serial["mse"] and pooled["mae"] == serial["mae"]
+
+
+def test_evaluate_raises_a_helper_error_as_itself_and_joins_its_threads(monkeypatch):
+    prepared = wide_problem()
+    params = FtMixerParams.initialize(WIDE)
+    monkeypatch.setattr(train_mod, "_eval_workers", lambda: 2)
+    before = threading.active_count()
+    evaluate(params, WIDE, prepared, "test")
+    assert threading.active_count() == before
+    caller = threading.get_ident()
+    helper_failed = threading.Event()
+
+    def forward(x, *args, **kwargs):
+        if threading.get_ident() != caller:
+            helper_failed.set()
+            raise NumericError("helper block")
+        helper_failed.wait(timeout=10)  # let the helper take a block first
+        return ftmixer_forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
+    with pytest.raises(NumericError, match="helper block"):
+        evaluate(params, WIDE, prepared, "test")
+    assert helper_failed.is_set()
+    assert threading.active_count() == before
