@@ -20,8 +20,11 @@ Conventions:
   which may be a read-only view shared with other nodes, and accumulates
   out of place, so no backward closure may write into a gradient it
   receives
+- :func:`backward` drops an interior node's gradient as soon as its
+  closure has run, so after it returns only leaves hold a ``grad``
 - a matmul whose right operand is 2-D runs as one GEMM over the left
-  operand's flattened leading dims, forward and backward
+  operand's flattened leading dims, forward and backward; so does
+  :func:`affine`, which adds its bias into the product in place
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ Array = np.ndarray
 class DiffArray:
     """A float64 array that can participate in gradient tracking.
 
-    ``grad`` stays ``None`` until a backward pass reaches this node;
-    repeated backward passes accumulate into it.
+    A leaf's ``grad`` stays ``None`` until a backward pass reaches it;
+    repeated backward passes accumulate into it.  An interior node holds
+    a ``grad`` only while :func:`backward` runs.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backprop")
@@ -239,6 +243,38 @@ def matmul(a, b) -> DiffArray:
                 _accum(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
 
     return _node(out, (a, b), backprop)
+
+
+def affine(x, w, b) -> DiffArray:
+    """``x @ w + b`` as one node, for a 2-D ``w`` and a ``b`` that
+    broadcasts against the product without widening it.
+
+    The bias is added into the product in place, so no separate product
+    array is kept; values and gradients are those of ``add(matmul(x, w),
+    b)``, bit for bit.
+    """
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    if x.values.ndim < 2 or w.values.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"affine: cannot apply {x.shape} @ {w.shape}")
+    k, n = w.shape
+    out_shape = x.shape[:-1] + (n,)
+    try:
+        fits = np.broadcast_shapes(out_shape, b.shape) == out_shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionError(f"affine: bias {b.shape} does not fit the product {out_shape}")
+    out = (x.values.reshape(-1, k) @ w.values).reshape(out_shape)
+    out += b.values
+
+    def backprop(g):
+        if x.requires_grad:
+            _accum(x, (g.reshape(-1, n) @ w.values.T).reshape(x.shape))
+        if w.requires_grad:
+            _accum(w, x.values.reshape(-1, k).T @ g.reshape(-1, n))
+        _accum(b, _unbroadcast(g, b.shape))
+
+    return _node(out, (x, w, b), backprop)
 
 
 def same_conv_matrix(taps, length: int) -> DiffArray:
@@ -473,7 +509,11 @@ def silu(x) -> DiffArray:
 
 
 def backward(loss: DiffArray) -> None:
-    """Populate grads of every tracked node reachable from a scalar loss."""
+    """Populate grads of every tracked leaf reachable from a scalar loss.
+
+    Each interior node's gradient is released once its closure has handed
+    it on, so a graph's gradients are not all alive at once.
+    """
     if loss.values.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     topo: list[DiffArray] = []
@@ -495,6 +535,7 @@ def backward(loss: DiffArray) -> None:
     for node in reversed(topo):
         if node._backprop is not None and node.grad is not None:
             node._backprop(node.grad)
+            node.grad = None
 
 
 def zero_grads(params: Sequence[DiffArray]) -> None:

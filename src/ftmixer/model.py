@@ -257,6 +257,18 @@ class FtMixerParams:
         frozen._folds = {}
         return frozen
 
+    def replica(self) -> "FtMixerParams":
+        """A tracked set whose leaves hold this set's value arrays, uncopied.
+
+        Its leaves keep their own ``grad``, so threads that each run a
+        forward and backward on their own replica do not share gradients,
+        while an in-place optimizer step on this set shows in every
+        replica.  :meth:`load_values` rebinds the values, which a replica
+        does not follow.
+        """
+        entries = {name: da.parameter(self._entries[name].values) for name in self._order}
+        return FtMixerParams(self.config, entries)
+
     @property
     def is_frozen(self) -> bool:
         """True for a set made by :meth:`frozen`: its forward folds the head
@@ -407,10 +419,10 @@ def fcc_forward(x, params: FtMixerParams, config: ModelConfig, *,
             lambda: da.matmul(da.matmul(spectrum, params["fcc_embed_w"]), inverse),
             lambda: da.matmul(da.reshape(params["fcc_embed_b"], (1, -1)), inverse),
         )
-        return da.matmul(across, da.add(da.matmul(x, embed), bias))
+        return da.matmul(across, da.affine(x, embed, bias))
     spectrum_embed = params.fold("fcc_spectrum_embed", lambda: da.matmul(
         spectrum, params["fcc_embed_w"]))
-    embedded = da.add(da.matmul(x, spectrum_embed), params["fcc_embed_b"])
+    embedded = da.affine(x, spectrum_embed, params["fcc_embed_b"])
     return spectral.idct(da.matmul(across, embedded))
 
 
@@ -444,7 +456,7 @@ def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
         return da.matmul(da.add(np.eye(scale), spectral_mix), embed_w)
 
     patch_map = params.fold(f"wfc_patch_map_{scale}", build_patch_map)
-    return da.add(da.matmul(patches, patch_map), embed_b)
+    return da.affine(patches, patch_map, embed_b)
 
 
 def depthwise_pointwise(z, params: FtMixerParams, config: ModelConfig) -> DiffArray:
@@ -496,8 +508,8 @@ def ds_conv(z, params: FtMixerParams, config: ModelConfig, *,
             lambda: params["ds_proj_w"],
             lambda: da.reshape(params["ds_proj_b"], (1, -1)),
         )
-        return da.add(da.matmul(flat, proj), bias)
-    return da.add(da.matmul(flat, params["ds_proj_w"]), params["ds_proj_b"])
+        return da.affine(flat, proj, bias)
+    return da.affine(flat, params["ds_proj_w"], params["ds_proj_b"])
 
 
 def ftmixer_forward(x, params: FtMixerParams, config: ModelConfig,
@@ -530,7 +542,8 @@ def ftmixer_forward(x, params: FtMixerParams, config: ModelConfig,
         z_ds = ds_conv(local, params, config, head=head)
         z = z_ds if z is None else da.add(z, z_ds)
 
-    if not head:
-        z = da.matmul(z, params["pred_w"])
-    predicted = da.add(z, params["pred_b"])
+    if head:
+        predicted = da.add(z, params["pred_b"])
+    else:
+        predicted = da.affine(z, params["pred_w"], params["pred_b"])
     return revin_denormalize(predicted, state)

@@ -40,6 +40,15 @@ log = logging.getLogger(__name__)
 # the budget stays.
 EVAL_BLOCK_BUDGET = 1 << 20
 
+# Bytes of that widest activation a training shard must hold to outrun the
+# GIL its autodiff bookkeeping takes: a smaller batch trains as one shard.
+# Sweep, one train step (forward, loss, backward) serial / on 2 shards, BLAS
+# at 1 thread on 2 cores, median of 4 interleaved rounds, by batch bytes:
+# 192 KiB (N=1, L=96, B=32) 4.0 / 7.9 ms, 384 KiB 5.9 / 6.8, 672-768 KiB
+# 1.08-1.56x slower on 3 of 4 shapes, 1008 KiB (N=3, L=336, B=32) 15.6 /
+# 13.1, 1176 KiB 18.0 / 14.0, 2352 KiB (the paper shape, B=32) 40.2 / 25.3.
+TRAIN_SHARD_MIN_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -108,9 +117,9 @@ class RunReport:
         }
 
 
-def _eval_workers() -> int:
-    """The worker count ``W`` of :func:`evaluate`: the cores the BLAS
-    threads leave free."""
+def _workers() -> int:
+    """The worker count ``W`` of :func:`evaluate` and :func:`train`: the
+    cores the BLAS threads leave free."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -125,6 +134,34 @@ def _eval_workers() -> int:
             blas_threads = value
             break
     return max(1, cpus // blas_threads)
+
+
+def _window_bytes(model_config: ModelConfig) -> int:
+    """Bytes of a forward's widest activation per window: float64, ``N``
+    rows of the widest of the input, the joined local patches and the
+    global embedding."""
+    widest = max(
+        model_config.lookback,
+        model_config.total_patches * model_config.patch_embed_dim,
+        model_config.fcc_embed_dim,
+    )
+    return 8 * model_config.channels * widest
+
+
+def _fan_out(pool: ThreadPoolExecutor, helpers: int, work, *args) -> None:
+    """``work(*args)`` on the calling thread and on ``helpers`` threads of
+    ``pool`` at once; the runs share their work through ``args``.
+
+    Returns when every run has ended.  An error in any run is raised as
+    itself once they all have, the caller's before a helper's.
+    """
+    running = [pool.submit(work, *args) for _ in range(helpers)]
+    try:
+        work(*args)
+    finally:
+        wait(running)
+    for future in running:
+        future.result()
 
 
 def evaluate(
@@ -175,13 +212,8 @@ def evaluate(
         )
     starts = window_samples(dataset, split, model_config.lookback, model_config.horizon)
     frozen = params.frozen()
-    widest = max(
-        model_config.lookback,
-        model_config.total_patches * model_config.patch_embed_dim,
-        model_config.fcc_embed_dim,
-    )
-    rows = max(1, EVAL_BLOCK_BUDGET // (8 * model_config.channels * widest))
-    helpers = _eval_workers() - 1
+    rows = max(1, EVAL_BLOCK_BUDGET // _window_bytes(model_config))
+    helpers = _workers() - 1
 
     def drain(inputs, pred, blocks):
         """Forward row blocks into ``pred`` until ``blocks`` runs out."""
@@ -199,14 +231,7 @@ def evaluate(
             dataset, starts, model_config.lookback, model_config.horizon, batch_size
         ):
             pred = np.empty(batch.targets.shape)
-            work = (batch.inputs, pred, iter(range(0, len(pred), rows)))
-            running = [pool.submit(drain, *work) for _ in range(helpers)]
-            try:
-                drain(*work)
-            finally:
-                wait(running)
-            for future in running:
-                future.result()
+            _fan_out(pool, helpers, drain, batch.inputs, pred, iter(range(0, len(pred), rows)))
             diff = pred - batch.targets
             sq_sum += float(np.sum(diff * diff))
             abs_sum += float(np.sum(np.abs(diff)))
@@ -221,6 +246,77 @@ def evaluate(
     }
 
 
+def _shard_step(params: FtMixerParams, inputs, targets, model_config: ModelConfig,
+                ablation: str):
+    """Forward, loss and backward of one shard on its own tracked ``params``.
+
+    Returns ``((time_loss, freq_loss, total), grads)``: the leaf gradient
+    of every parameter (zeros for one the objective does not reach), or
+    ``None`` without a backward when the loss is not finite.  Only floats
+    and gradients leave, so the graph dies in the thread that built it.
+    """
+    prediction = ftmixer_forward(inputs, params, model_config, ablation=ablation)
+    loss = loss_metrics.dual_domain_loss(targets, prediction)
+    losses = (loss.time_loss, loss.freq_loss, loss.total)
+    if not np.isfinite(loss.total):
+        return losses, None
+    if ablation == "no_freq_loss":
+        objective = loss.time_node
+    elif ablation == "no_time_loss":
+        objective = loss.freq_node
+    else:
+        objective = loss.total_node
+    da.zero_grads(params.all())
+    da.backward(objective)
+    return losses, [
+        p.grad if p.grad is not None else np.zeros_like(p.values) for p in params.all()
+    ]
+
+
+def _batch_step(pool: ThreadPoolExecutor, replicas: list[FtMixerParams], batch,
+                model_config: ModelConfig, ablation: str):
+    """Loss components and gradients of one training batch, run as shards.
+
+    The ``n`` windows are split into ``S`` contiguous shards of ``n_i``
+    windows (the rule is in :func:`train`), and shard ``i`` runs
+    :func:`_shard_step` on ``replicas[i]``; the caller and ``S - 1``
+    helpers of ``pool`` take shards from one shared iterator.  Returns
+    ``((time_loss, freq_loss, total), grads)``, each the sum over the
+    shards, in shard order, of ``n_i / n`` times the shard's own;
+    ``grads`` is ``None`` when a shard's loss is not finite.  With
+    ``S = 1`` they are the shard's own, untouched.
+    """
+    n = batch.inputs.shape[0]
+    fits = n * _window_bytes(model_config) // TRAIN_SHARD_MIN_BYTES
+    count = max(1, min(len(replicas), n, fits))
+    bounds = [i * n // count for i in range(count + 1)]
+    shards: list = [None] * count
+
+    def run(pending):
+        for i in pending:
+            lo, hi = bounds[i], bounds[i + 1]
+            shards[i] = _shard_step(
+                replicas[i], batch.inputs[lo:hi], batch.targets[lo:hi], model_config, ablation
+            )
+
+    _fan_out(pool, count - 1, run, iter(range(count)))
+    weights = [(hi - lo) / n for lo, hi in zip(bounds, bounds[1:])]
+    losses = tuple(
+        sum(weight * shard[0][k] for weight, shard in zip(weights, shards)) for k in range(3)
+    )
+    if any(grads is None for _, grads in shards):
+        return losses, None
+    grads = shards[0][1]
+    if count > 1:
+        for g in grads:
+            g *= weights[0]
+        for weight, (_, shard_grads) in zip(weights[1:], shards[1:]):
+            for total, g in zip(grads, shard_grads):
+                g *= weight
+                total += g
+    return losses, grads
+
+
 def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
@@ -233,6 +329,22 @@ def train(
     to ``checkpoint_path`` on every improvement when given) and reports
     test metrics from that checkpoint.  A non-finite loss aborts with
     :class:`NumericError`; the last good checkpoint stays on disk.
+
+    Each batch of ``n`` windows runs as ``S`` contiguous shards, ``S =
+    max(1, min(W, n, n * bytes // TRAIN_SHARD_MIN_BYTES))``: ``W`` is
+    :func:`evaluate`'s worker count (the cores the BLAS threads leave
+    free) and ``bytes`` the widest activation per window, so a shard
+    holds at least 512 KiB of it (a smaller one runs slower on a thread
+    than in series).  Shard ``i`` runs forward, loss and backward on the
+    ``i``-th of ``W`` tracked :meth:`~FtMixerParams.replica` sets (the
+    first is the trained set itself), on the calling thread or on one of
+    ``W - 1`` helper threads (none when ``W = 1``).  No op in the model
+    couples the windows of a batch, so the batch's gradient is ``sum_i
+    (n_i / n) * g_i``, summed in shard order before clipping and Adam,
+    and the epoch's loss records are weighted the same way.  ``S = 1``
+    runs the whole batch as a serial loop would, bit for bit.  A run is
+    deterministic for its ``W``; a run with another ``W`` agrees with it
+    up to rounding, since the shards sum over their windows apart.
     """
     if model_config.channels != dataset.channels:
         raise ConfigError(
@@ -243,6 +355,8 @@ def train(
     lookback, horizon = model_config.lookback, model_config.horizon
     train_starts = window_samples(dataset, "train", lookback, horizon)
     params = FtMixerParams.initialize(model_config)
+    workers = _workers()
+    replicas = [params] + [params.replica() for _ in range(workers - 1)]
     adam = da.AdamState(learning_rate=train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     report = RunReport(
@@ -254,88 +368,79 @@ def train(
     best_val = float("inf")
     best_values: dict[str, np.ndarray] | None = None
     stale_epochs = 0
-    for epoch in range(train_config.epochs):
-        order = rng.permutation(train_starts)
-        time_sum = freq_sum = total_sum = 0.0
-        seen = 0
-        grad_norms = []
-        for batch in iter_batches(
-            dataset, order, lookback, horizon, train_config.batch_size
-        ):
-            try:
-                prediction = ftmixer_forward(
-                    batch.inputs, params, model_config, ablation=ablation
-                )
-                loss = loss_metrics.dual_domain_loss(batch.targets, prediction)
-                finite = np.isfinite(loss.total)
-            except NumericError as exc:
-                raise NumericError(
-                    f"numeric failure at epoch {epoch}, sample offset {seen}: {exc}; "
-                    f"aborting (best checkpoint is from epoch {report.best_epoch})"
-                ) from None
-            if not finite:
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, sample offset {seen}; "
-                    f"aborting (best checkpoint is from epoch {report.best_epoch})"
-                )
-            if ablation == "no_freq_loss":
-                objective = loss.time_node
-            elif ablation == "no_time_loss":
-                objective = loss.freq_node
+    # a pool starts its threads on first submit, so W = 1 starts none
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        for epoch in range(train_config.epochs):
+            order = rng.permutation(train_starts)
+            time_sum = freq_sum = total_sum = 0.0
+            seen = 0
+            grad_norms = []
+            for batch in iter_batches(
+                dataset, order, lookback, horizon, train_config.batch_size
+            ):
+                try:
+                    losses, grads = _batch_step(pool, replicas, batch, model_config, ablation)
+                except NumericError as exc:
+                    raise NumericError(
+                        f"numeric failure at epoch {epoch}, sample offset {seen}: {exc}; "
+                        f"aborting (best checkpoint is from epoch {report.best_epoch})"
+                    ) from None
+                if grads is None:
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch}, sample offset {seen}; "
+                        f"aborting (best checkpoint is from epoch {report.best_epoch})"
+                    )
+                grad_norms.append(da.clip_global_norm(grads, train_config.clip_norm))
+                da.adam_step(params.all(), grads, adam)
+                n = batch.inputs.shape[0]
+                time_sum += losses[0] * n
+                freq_sum += losses[1] * n
+                total_sum += losses[2] * n
+                seen += n
+            eval_started = time.perf_counter()
+            val = evaluate(
+                params,
+                model_config,
+                dataset,
+                "val",
+                batch_size=train_config.eval_batch_size,
+                ablation=ablation,
+            )
+            report.eval_seconds.append(time.perf_counter() - eval_started)
+            record = {
+                "epoch": epoch,
+                "time_loss": time_sum / seen,
+                "freq_loss": freq_sum / seen,
+                "total": total_sum / seen,
+                "val_mse": val["mse"],
+                "val_mae": val["mae"],
+                # pre-clip global gradient norm over the epoch's steps
+                "grad_norm_mean": float(np.mean(grad_norms)),
+                "grad_norm_max": float(np.max(grad_norms)),
+                "clipped_share": float(
+                    np.mean(np.array(grad_norms) > train_config.clip_norm)
+                ),
+            }
+            report.epochs.append(record)
+            log.info(
+                "epoch %d: train total %.6f (time %.6f, freq %.6f), val mse %.6f",
+                epoch, record["total"], record["time_loss"], record["freq_loss"],
+                val["mse"],
+            )
+            if val["mse"] < best_val:
+                best_val = val["mse"]
+                report.best_epoch = epoch
+                best_values = params.copy_values()
+                stale_epochs = 0
+                if checkpoint_path is not None:
+                    save_checkpoint(checkpoint_path, params, checkpoint_meta)
             else:
-                objective = loss.total_node
-            da.zero_grads(params.all())
-            da.backward(objective)
-            grads = [
-                p.grad if p.grad is not None else np.zeros_like(p.values)
-                for p in params.all()
-            ]
-            grad_norms.append(da.clip_global_norm(grads, train_config.clip_norm))
-            da.adam_step(params.all(), grads, adam)
-            n = batch.inputs.shape[0]
-            time_sum += loss.time_loss * n
-            freq_sum += loss.freq_loss * n
-            total_sum += loss.total * n
-            seen += n
-        eval_started = time.perf_counter()
-        val = evaluate(
-            params,
-            model_config,
-            dataset,
-            "val",
-            batch_size=train_config.eval_batch_size,
-            ablation=ablation,
-        )
-        report.eval_seconds.append(time.perf_counter() - eval_started)
-        record = {
-            "epoch": epoch,
-            "time_loss": time_sum / seen,
-            "freq_loss": freq_sum / seen,
-            "total": total_sum / seen,
-            "val_mse": val["mse"],
-            "val_mae": val["mae"],
-            # pre-clip global gradient norm over the epoch's steps
-            "grad_norm_mean": float(np.mean(grad_norms)),
-            "grad_norm_max": float(np.max(grad_norms)),
-            "clipped_share": float(np.mean(np.array(grad_norms) > train_config.clip_norm)),
-        }
-        report.epochs.append(record)
-        log.info(
-            "epoch %d: train total %.6f (time %.6f, freq %.6f), val mse %.6f",
-            epoch, record["total"], record["time_loss"], record["freq_loss"], val["mse"],
-        )
-        if val["mse"] < best_val:
-            best_val = val["mse"]
-            report.best_epoch = epoch
-            best_values = params.copy_values()
-            stale_epochs = 0
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, params, checkpoint_meta)
-        else:
-            stale_epochs += 1
-            if stale_epochs >= train_config.patience:
-                log.info("early stop at epoch %d (patience %d)", epoch, train_config.patience)
-                break
+                stale_epochs += 1
+                if stale_epochs >= train_config.patience:
+                    log.info(
+                        "early stop at epoch %d (patience %d)", epoch, train_config.patience
+                    )
+                    break
 
     if best_values is not None:
         params.load_values(best_values)

@@ -282,6 +282,14 @@ def test_backward_accumulates_without_zeroing():
     np.testing.assert_allclose(x.grad, 2.0 * first)
 
 
+def test_backward_twice_on_one_graph_doubles_leaf_gradients():
+    x = tracked([1.0, 2.0])
+    loss = da.reduce_sum(da.scale(da.scale(x, 2.0), 3.0))
+    backward(loss)
+    backward(loss)  # no interior gradient is left over from the first pass
+    np.testing.assert_array_equal(x.grad, [12.0, 12.0])
+
+
 def test_backward_shared_subexpression():
     x = tracked([3.0])
     y = da.mul(x, x)
@@ -357,6 +365,53 @@ def test_leaf_gradients_are_owned_and_clipped_once():
     factor = 1.0 / norm
     for leaf, want in zip(leaves, expected):
         np.testing.assert_allclose(leaf.grad, want * factor, rtol=1e-14)
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    rng = np.random.default_rng(21)
+    x_values, w_values = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
+    x, w, b = tracked(x_values), tracked(w_values), tracked(rng.standard_normal(2))
+    product = da.matmul(x, w)
+    shifted = da.add(product, b)
+    squared = da.mul(shifted, shifted)
+    loss = da.reduce_sum(squared)
+    backward(loss)
+    for node in (product, shifted, squared, loss):
+        assert node.grad is None
+    dy = 2.0 * (x_values @ w_values + b.values)
+    want = {"x": dy @ w_values.T, "w": x_values.T @ dy, "b": dy.sum(axis=0)}
+    for name, leaf in (("x", x), ("w", w), ("b", b)):
+        assert leaf.grad.flags["WRITEABLE"] and leaf.grad.flags["OWNDATA"]
+        np.testing.assert_allclose(leaf.grad, want[name], rtol=1e-13)
+
+
+@pytest.mark.parametrize("x_shape, b_shape", [((4, 3), (2,)), ((2, 5, 3), (2,)),
+                                              ((2, 5, 3), (1, 2)), ((2, 5, 3), (5, 2))])
+def test_affine_equals_matmul_then_add_bit_for_bit(x_shape, b_shape):
+    rng = np.random.default_rng(22)
+    values = [rng.standard_normal(x_shape), rng.standard_normal((3, 2)),
+              rng.standard_normal(b_shape)]
+    weights = rng.standard_normal(x_shape[:-1] + (2,))
+    results = []
+    for op in (da.affine, lambda x, w, b: da.add(da.matmul(x, w), b)):
+        leaves = [tracked(v.copy()) for v in values]
+        out = op(*leaves)
+        backward(da.reduce_sum(da.mul(out, weights)))
+        results.append([out.values] + [leaf.grad for leaf in leaves])
+    for fused, reference in zip(*results):
+        assert np.array_equal(fused, reference)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+    ((4, 3), (3, 2), (4, 1, 2)),  # the bias would widen the product
+    ((4, 3), (3, 2), (3,)),
+    ((4, 3), (4, 2), (2,)),
+    ((3,), (3, 2), (2,)),
+    ((4, 3), (2, 3, 2), (2,)),
+])
+def test_affine_rejects_shapes_it_cannot_apply(x_shape, w_shape, b_shape):
+    with pytest.raises(DimensionError):
+        da.affine(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
 
 
 def test_graph_determinism():

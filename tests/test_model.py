@@ -384,6 +384,24 @@ def test_frozen_set_is_read_only_untracked_and_memoizes():
     assert len(builds) == 3  # a tracked set builds on every call
 
 
+def test_replica_shares_values_and_keeps_its_own_gradients():
+    params = FtMixerParams.initialize(TINY)
+    replica = params.replica()
+    assert not replica.is_frozen
+    for name in params.names():
+        assert replica[name].requires_grad and replica[name] is not params[name]
+        assert replica[name].values is params[name].values
+    x = np.random.default_rng(6).standard_normal((3, TINY.channels, TINY.lookback))
+    backward(da.reduce_sum(ftmixer_forward(x, replica, TINY)))
+    assert all(p.grad is None for p in params.all())
+    assert all(p.grad is not None for p in replica.all())
+    # an in-place optimizer step on the set shows in the replica's forward
+    da.adam_step(params.all(), [np.ones_like(p.values) for p in params.all()],
+                 da.AdamState(learning_rate=1e-2))
+    assert np.array_equal(ftmixer_forward(x, replica, TINY).values,
+                          ftmixer_forward(x, params, TINY).values)
+
+
 def test_frozen_fold_is_built_once_under_concurrent_first_use():
     frozen = FtMixerParams.initialize(TINY).frozen()
     barrier = threading.Barrier(4)

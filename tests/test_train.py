@@ -11,6 +11,7 @@ import pytest
 
 from ftmixer import data as data_mod
 from ftmixer import diffarray as da
+from ftmixer import loss_metrics
 from ftmixer.data import gather_batch, window_samples
 from ftmixer.errors import ConfigError, NumericError
 from ftmixer.model import (
@@ -299,10 +300,10 @@ def test_eval_worker_rule(monkeypatch, cpus, env, workers):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert train_mod._eval_workers() == workers
+    assert train_mod._workers() == workers
     monkeypatch.delattr(os, "sched_getaffinity")  # where affinity cannot be read
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert train_mod._eval_workers() == workers
+    assert train_mod._workers() == workers
 
 
 def meet_in_forward(monkeypatch, parties):
@@ -328,9 +329,9 @@ def test_evaluate_bit_identical_for_any_worker_count(monkeypatch, ablation):
     params = FtMixerParams.initialize(WIDE)
     samples = len(window_samples(prepared, "test", WIDE.lookback, WIDE.horizon))
     assert samples >= 3 * block_rule(WIDE)  # a batch has a block for every worker
-    monkeypatch.setattr(train_mod, "_eval_workers", lambda: 1)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 1)
     serial = evaluate(params, WIDE, prepared, "test", ablation=ablation)
-    monkeypatch.setattr(train_mod, "_eval_workers", lambda: 3)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 3)
     threads = meet_in_forward(monkeypatch, 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -345,7 +346,7 @@ def test_evaluate_bit_identical_for_any_worker_count(monkeypatch, ablation):
 def test_evaluate_raises_a_helper_error_as_itself_and_joins_its_threads(monkeypatch):
     prepared = wide_problem()
     params = FtMixerParams.initialize(WIDE)
-    monkeypatch.setattr(train_mod, "_eval_workers", lambda: 2)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 2)
     before = threading.active_count()
     evaluate(params, WIDE, prepared, "test")
     assert threading.active_count() == before
@@ -362,5 +363,128 @@ def test_evaluate_raises_a_helper_error_as_itself_and_joins_its_threads(monkeypa
     monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
     with pytest.raises(NumericError, match="helper block"):
         evaluate(params, WIDE, prepared, "test")
+    assert helper_failed.is_set()
+    assert threading.active_count() == before
+
+
+def shard_sizes(monkeypatch):
+    """Patch train's forward to record the window count of every tracked
+    (training) forward; returns that list."""
+    sizes = []
+
+    def forward(x, params, *args, **kwargs):
+        if not params.is_frozen:
+            sizes.append(np.shape(x)[0])
+        return ftmixer_forward(x, params, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
+    return sizes
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_fcc", "no_freq_loss", "no_time_loss"])
+def test_train_agrees_across_worker_counts(monkeypatch, ablation):
+    prepared, config = small_problem(channels=2)
+    tc = TrainConfig(epochs=2, batch_size=32, seed=5, patience=2, ablation=ablation)
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 1)  # shard the small batches
+    sizes = shard_sizes(monkeypatch)
+    reports = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(train_mod, "_workers", lambda: workers)
+        sizes.clear()
+        reports[workers], _ = train(config, tc, prepared)
+        first = sizes[:workers]  # the first batch's shards
+        assert sum(first) == 32 and max(first) - min(first) <= 1
+    serial = reports[1]
+    for workers in (2, 3):
+        for key in ("val_mse", "total", "time_loss", "freq_loss"):
+            for got, want in zip(reports[workers].epochs, serial.epochs):
+                assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
+        assert abs(reports[workers].test_mse - serial.test_mse) <= 1e-12 * serial.test_mse
+
+
+def test_train_with_one_worker_is_the_serial_loop(monkeypatch):
+    prepared, config = small_problem(channels=2)
+    tc = TrainConfig(epochs=1, batch_size=24, seed=9)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 1)
+    report, params = train(config, tc, prepared)
+
+    # the same epoch through the public API, one whole batch at a time
+    mine = FtMixerParams.initialize(config)
+    adam = da.AdamState(learning_rate=tc.learning_rate)
+    order = np.random.default_rng(tc.seed).permutation(
+        window_samples(prepared, "train", config.lookback, config.horizon)
+    )
+    sums, seen, norms = np.zeros(3), 0, []
+    for batch in data_mod.iter_batches(prepared, order, config.lookback, config.horizon,
+                                       tc.batch_size):
+        loss = loss_metrics.dual_domain_loss(
+            batch.targets, ftmixer_forward(batch.inputs, mine, config)
+        )
+        da.zero_grads(mine.all())
+        da.backward(loss.total_node)
+        grads = [p.grad for p in mine.all()]
+        norms.append(da.clip_global_norm(grads, tc.clip_norm))
+        da.adam_step(mine.all(), grads, adam)
+        n = batch.inputs.shape[0]
+        sums += np.array([loss.time_loss, loss.freq_loss, loss.total]) * n
+        seen += n
+    record = report.epochs[0]
+    assert [record["time_loss"], record["freq_loss"], record["total"]] == list(sums / seen)
+    assert record["grad_norm_max"] == max(norms)
+    for name in params.names():
+        assert np.array_equal(params[name].values, mine[name].values)
+    assert report.test_mse == evaluate(mine, config, prepared, "test")["mse"]
+
+
+def test_train_sharded_runs_are_deterministic(monkeypatch):
+    prepared, config = small_problem(channels=2)
+    tc = TrainConfig(epochs=2, batch_size=32, seed=7, patience=2)
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 2)
+    report_a, params_a = train(config, tc, prepared)
+    report_b, params_b = train(config, tc, prepared)
+    assert report_a.epochs == report_b.epochs and report_a.test_mse == report_b.test_mse
+    for name in params_a.names():
+        assert np.array_equal(params_a[name].values, params_b[name].values)
+
+
+def test_train_shards_only_batches_that_fill_a_shard(monkeypatch):
+    prepared, config = small_problem(channels=2)
+    window = train_mod._window_bytes(config)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 4)
+    sizes = shard_sizes(monkeypatch)
+    # 30 windows fill three shards of 10, not four
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 10 * window)
+    train(config, TrainConfig(epochs=1, batch_size=30, seed=0), prepared)
+    assert sizes[:3] == [10, 10, 10]
+    # a batch that cannot fill two shards runs whole
+    sizes.clear()
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 31 * window)
+    train(config, TrainConfig(epochs=1, batch_size=30, seed=0), prepared)
+    assert sizes[0] == 30 and all(size <= 30 for size in sizes)
+
+
+def test_train_helper_shard_error_names_epoch_and_offset_and_joins_threads(monkeypatch):
+    prepared, config = small_problem(channels=2)
+    tc = TrainConfig(epochs=1, batch_size=32, seed=0)
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 2)
+    before = threading.active_count()
+    train(config, tc, prepared)
+    assert threading.active_count() == before
+    caller = threading.get_ident()
+    helper_failed = threading.Event()
+
+    def forward(x, params, *args, **kwargs):
+        if not params.is_frozen and threading.get_ident() != caller:
+            helper_failed.set()
+            raise NumericError("helper shard")
+        if not params.is_frozen:
+            helper_failed.wait(timeout=10)  # let the helper take a shard first
+        return ftmixer_forward(x, params, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
+    with pytest.raises(NumericError, match=r"epoch 0, sample offset 0: helper shard"):
+        train(config, tc, prepared)
     assert helper_failed.is_set()
     assert threading.active_count() == before
