@@ -10,7 +10,7 @@ from .errors import (
     NumericError,
     ParseError,
 )
-from .loss_metrics import LossBreakdown, dual_domain_loss, mae, mse
+from .loss_metrics import LossBreakdown, dual_domain_loss
 from .model import (
     FtMixerParams,
     ModelConfig,
@@ -19,7 +19,7 @@ from .model import (
     param_count,
     save_checkpoint,
 )
-from .spectral import dct, dft_symmetric_extension_oracle, idct
+from .spectral import dct, idct
 # ``train`` the function stays at ``ftmixer.train.train``: re-exported here it
 # would shadow the submodule of the same name.
 from .train import RunReport, TrainConfig, evaluate, run_length_sweep
@@ -44,14 +44,11 @@ __all__ = [
     "adam_step",
     "backward",
     "dct",
-    "dft_symmetric_extension_oracle",
     "dual_domain_loss",
     "evaluate",
     "ftmixer_forward",
     "idct",
     "load_checkpoint",
-    "mae",
-    "mse",
     "param_count",
     "parameter",
     "run_length_sweep",

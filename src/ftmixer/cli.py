@@ -6,9 +6,10 @@ Settings come from built-in defaults, overridden by an INI-style
 data) and ``seed`` (from [train]), the [train] keys are the TrainConfig
 field names (so the learning rate is ``learning_rate``, formerly ``lr``;
 the flag stays ``--lr``), and [io] holds data, output, checkpoint and
-ratios.  Every artifact embeds the effective settings and seed, and is
-written under a temporary name, then renamed into place.  Exit
-codes: 0 ok, 1 configuration error, 2 data error, 3 numeric abort.
+ratios.  Config values are read as written: a ``%`` is not interpolated.
+Every artifact embeds the effective settings and seed, and is written
+under a temporary name, then renamed into place.  Exit codes: 0 ok,
+1 configuration error, 2 data error, 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path) -> dict:
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f)

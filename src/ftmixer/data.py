@@ -143,8 +143,9 @@ def chronological_split(
     ``min_segment`` is given (normally L + tau), every segment must be at
     least that long.
     """
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
-        raise ConfigError(f"ratios must be three non-negative values summing to 1, got {ratios}")
+    if (len(ratios) != 3 or not np.all(np.isfinite(ratios))
+            or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0):
+        raise ConfigError(f"ratios must be three finite values >= 0 summing to 1, got {ratios}")
     total = ds.length
     train_end = int(total * ratios[0])
     val_end = train_end + int(total * ratios[1])
@@ -190,20 +191,16 @@ def destandardize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return values * stats.std[:, None] + stats.mean[:, None]
 
 
-def window_samples(
-    ds: SeriesDataset, split: str, lookback: int, horizon: int, stride: int = 1
-) -> np.ndarray:
+def window_samples(ds: SeriesDataset, split: str, lookback: int, horizon: int) -> np.ndarray:
     """Start indices of all (input, target) windows fully inside a split."""
     lo, hi = ds.split_bounds(split)
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
     span = lookback + horizon
     if hi - lo < span:
         raise ConfigError(
             f"{split} split has {hi - lo} steps, need >= {span} for "
             f"lookback {lookback} + horizon {horizon}"
         )
-    return np.arange(lo, hi - span + 1, stride)
+    return np.arange(lo, hi - span + 1)
 
 
 @dataclass(frozen=True)

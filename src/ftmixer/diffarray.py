@@ -194,18 +194,6 @@ def div(a, b) -> DiffArray:
     return _node(out, (a, b), backprop)
 
 
-def scale(x, factor: float) -> DiffArray:
-    """Multiply by a python scalar."""
-    x = _lift(x)
-    factor = float(factor)
-    out = x.values * factor
-
-    def backprop(g):
-        _accum(x, g * factor)
-
-    return _node(out, (x,), backprop)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 

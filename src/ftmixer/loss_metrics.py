@@ -1,4 +1,4 @@
-"""Training loss (time-domain MSE + spectral MAE) and evaluation metrics.
+"""Training loss: time-domain MSE plus spectral MAE.
 
 The training objective sums a squared error in the time domain with an
 absolute error between the cosine-transform coefficients of target and
@@ -7,8 +7,6 @@ branch uses subgradient 0 at exact zeros.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import diffarray as da
 from . import spectral
@@ -54,21 +52,3 @@ def dual_domain_loss(target, prediction) -> LossBreakdown:
     time_node = da.reduce_mean(da.mul(residual, residual))
     freq_node = da.reduce_mean(da.absolute(spectral.dct(residual)))
     return LossBreakdown(time_node, freq_node)
-
-
-def _check_pair(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(y, dtype=np.float64)
-    b = np.asarray(y_hat, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ContractError(f"metric: shapes differ, {a.shape} vs {b.shape}")
-    return a, b
-
-
-def mse(y, y_hat) -> float:
-    a, b = _check_pair(y, y_hat)
-    return float(np.mean((a - b) ** 2))
-
-
-def mae(y, y_hat) -> float:
-    a, b = _check_pair(y, y_hat)
-    return float(np.mean(np.abs(a - b)))

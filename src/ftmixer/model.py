@@ -41,6 +41,7 @@ All entry points accept an optional leading batch dimension.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 from dataclasses import dataclass, field, fields, replace
@@ -91,6 +92,8 @@ class ModelConfig:
         for name in ("wfc_kernel_size", "ds_dw_kernel_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.fcc_kernel_size is not None and self.fcc_kernel_size < 1:
             raise ConfigError(f"fcc_kernel_size must be >= 1, got {self.fcc_kernel_size}")
         if not 0 < self.revin_epsilon < np.inf:
@@ -177,19 +180,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], in
 
 
 def param_count(config: ModelConfig) -> int:
-    """Closed-form learnable-parameter count for a configuration."""
-    L, tau = config.lookback, config.horizon
-    df, dp = config.fcc_embed_dim, config.patch_embed_dim
-    n_tot = config.total_patches
-    count = L * df + df                       # global-branch embedding
-    count += config.fcc_kernel                # channel-axis kernel
-    for w in config.patch_scales:             # per-scale kernel + embedding
-        count += config.wfc_kernel_size + w * dp + dp
-    count += dp * config.ds_dw_kernel_size    # depthwise kernels
-    count += dp * dp                          # pointwise kernel
-    count += n_tot * dp * df + df             # per-channel projection
-    count += df * tau + tau                   # prediction head
-    return count
+    """Learnable-parameter count for a configuration."""
+    return sum(math.prod(shape) for shape, _ in parameter_shapes(config).values())
 
 
 class FtMixerParams:

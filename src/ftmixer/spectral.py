@@ -1,4 +1,4 @@
-"""Exact cosine-transform pair and a DFT oracle.
+"""Exact cosine-transform pair.
 
 Forward transform (type-II kernel, unnormalized), for k = 0..L-1:
 
@@ -73,23 +73,3 @@ def dct(x):
 def idct(c):
     """Inverse transform along the last axis; idct(dct(x)) == x."""
     return _apply_basis(c, 1, "idct")
-
-
-def dft_symmetric_extension_oracle(x) -> Array:
-    """Independent certification route for :func:`dct`, used only by tests.
-
-    Mirror-extends ``x`` to length 2L and evaluates a naive O(L^2) DFT of
-    the extension on the half-sample-centered grid (sample positions
-    n + 1/2), returning the real part of bins 0..L-1.  On that grid the
-    extension's symmetry makes every bin purely real and equal to twice
-    the cosine-transform coefficient, so the ratio against :func:`dct`
-    is one bin-independent constant.
-    """
-    v = np.asarray(x, dtype=np.float64).reshape(-1)
-    _validate(v, "dft_symmetric_extension_oracle")
-    length = v.size
-    y = np.concatenate([v, v[::-1]])
-    n = np.arange(2 * length, dtype=np.float64)
-    bins = np.arange(length, dtype=np.float64)
-    kernel = np.exp(-2j * np.pi * np.outer(bins, n + 0.5) / (2 * length))
-    return np.real(kernel @ y)

@@ -70,6 +70,8 @@ class TrainConfig:
         for name in ("learning_rate", "clip_norm"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.eval_batch_size < 1:

@@ -31,10 +31,17 @@ from ftmixer.model import (
     save_checkpoint,
     wfc_forward,
 )
-from ftmixer.spectral import dct, dft_symmetric_extension_oracle, idct
+from ftmixer.spectral import dct, idct
 from ftmixer.train import TrainConfig, evaluate, train
 
-from helpers import assert_grads_match, central_diff_grads, max_rel_err, sinusoid_dataset, tracked
+from helpers import (
+    assert_grads_match,
+    central_diff_grads,
+    dft_symmetric_extension_oracle,
+    max_rel_err,
+    sinusoid_dataset,
+    tracked,
+)
 
 ETT_RATIOS = (0.6, 0.2, 0.2)
 
@@ -136,7 +143,7 @@ def test_criterion_3_gradient_suite():
         )
     worst_linear = max(
         worst_linear,
-        _grad_case(lambda: da.reduce_sum(da.mul(da.scale(a, -1.7), r)), [a], 1e-6),
+        _grad_case(lambda: da.reduce_sum(da.mul(da.mul(a, -1.7), r)), [a], 1e-6),
     )
 
     m1 = tracked(rng.standard_normal((4, 3)))

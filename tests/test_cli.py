@@ -235,6 +235,52 @@ def test_config_file_value_that_does_not_parse_exits_1(series_csv, tmp_path, cap
     assert f"[{section}] {key} = {value!r}" in err
 
 
+def test_config_file_value_with_percent_is_read_as_written(series_csv, tmp_path):
+    out = tmp_path / "x%y"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[io]\noutput = {out}\n[train]\nepochs = 1\n", encoding="utf-8")
+    assert cli._read_config_file(cfg) == {"io": {"output": str(out)}, "train": {"epochs": 1}}
+    code = main(["train", "--config", str(cfg), "--data", str(series_csv),
+                 "--lookback", "48", "--horizon", "12"])
+    assert code == 0
+    assert (out / "report.json").exists()
+
+
+def _single_error_line(err: str, kind: str) -> None:
+    assert err.startswith(f"ftmixer: error: {kind}:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra,ini", [
+    (["--ratios", "nan,0.5,0.5"], ""),
+    ([], "[io]\nratios = nan,0.5,0.5\n"),
+    (["--seed", "-1"], ""),
+], ids=["flag_ratios", "ini_ratios", "flag_seed"])
+def test_non_finite_ratios_and_negative_seed_exit_1(series_csv, tmp_path, capsys, extra, ini):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    code = main(train_args(series_csv, tmp_path / "out", extra=["--config", str(cfg), *extra]))
+    assert code == 1
+    _single_error_line(capsys.readouterr().err, "config")
+
+
+def test_eval_on_checkpoint_with_negative_seed_exits_2(series_csv, tmp_path, capsys):
+    path = tmp_path / "checkpoint.ftm"
+    config = ModelConfig(lookback=48, horizon=12, channels=2, patch_scales=(12, 24))
+    save_checkpoint(path, FtMixerParams.initialize(config),
+                    {"model_config": dict(config.to_dict(), seed=-1)})
+    code = main([
+        "eval",
+        "--data", str(series_csv),
+        "--output", str(tmp_path / "run"),
+        "--checkpoint", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    _single_error_line(err, "data")
+    assert "seed must be >= 0" in err
+
+
 @pytest.mark.parametrize("ablation", ["no_fcc", "no_wfc"])
 def test_eval_reproduces_report_for_ablated_checkpoint(series_csv, tmp_path, capsys, ablation):
     out = tmp_path / "run"

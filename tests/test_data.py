@@ -125,6 +125,15 @@ def test_split_rejects_degenerate_ratios():
         chronological_split(ds, (0.5, 0.3, 0.3))
 
 
+@pytest.mark.parametrize("ratios", [
+    (float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan")),
+    (float("inf"), 0.5, 0.5), (0.6, float("-inf"), 0.2),
+])
+def test_split_rejects_non_finite_ratios(ratios):
+    with pytest.raises(ConfigError, match="finite"):
+        chronological_split(toy_dataset(), ratios)
+
+
 def test_split_rejects_short_segments():
     ds = toy_dataset(total=40)
     with pytest.raises(ConfigError):

@@ -18,7 +18,7 @@ def test_add_elementwise():
 
 
 def test_scale_by_zero_annihilates():
-    out = da.scale(DiffArray([1.0, 2.0, 3.0]), 0.0)
+    out = da.mul(DiffArray([1.0, 2.0, 3.0]), 0.0)
     np.testing.assert_array_equal(out.values, [0.0, 0.0, 0.0])
 
 
@@ -264,7 +264,7 @@ def test_backward_sum_gradient():
 
 def test_backward_quadratic_gradient():
     x = tracked([1.5, -2.0, 0.25])
-    backward(da.scale(da.reduce_sum(da.mul(x, x)), 0.5))
+    backward(da.mul(da.reduce_sum(da.mul(x, x)), 0.5))
     np.testing.assert_allclose(x.grad, x.values, rtol=1e-12)
 
 
@@ -284,7 +284,7 @@ def test_backward_accumulates_without_zeroing():
 
 def test_backward_twice_on_one_graph_doubles_leaf_gradients():
     x = tracked([1.0, 2.0])
-    loss = da.reduce_sum(da.scale(da.scale(x, 2.0), 3.0))
+    loss = da.reduce_sum(da.mul(da.mul(x, 2.0), 3.0))
     backward(loss)
     backward(loss)  # no interior gradient is left over from the first pass
     np.testing.assert_array_equal(x.grad, [12.0, 12.0])

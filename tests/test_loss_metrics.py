@@ -1,4 +1,4 @@
-"""Dual-domain loss and evaluation metrics."""
+"""Dual-domain loss."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from ftmixer import diffarray as da
 from ftmixer.diffarray import DiffArray, backward
 from ftmixer.errors import ContractError
-from ftmixer.loss_metrics import dual_domain_loss, mae, mse
+from ftmixer.loss_metrics import dual_domain_loss
 from ftmixer.spectral import basis_pair
 
 from helpers import assert_grads_match, tracked
@@ -54,8 +54,6 @@ def test_matches_independent_recomputation():
 def test_shape_mismatch_rejected():
     with pytest.raises(ContractError):
         dual_domain_loss(DiffArray(np.zeros((2, 3))), DiffArray(np.zeros((2, 4))))
-    with pytest.raises(ContractError):
-        mse(np.zeros(3), np.zeros(4))
 
 
 def test_loss_gradients_away_from_kinks():
@@ -92,18 +90,3 @@ def test_gradients_flow_through_both_branches():
     assert np.any(time_grad != 0.0)
     assert np.any(freq_grad != 0.0)
     assert not np.allclose(time_grad, freq_grad)
-
-
-def test_metrics_trivial_and_unit_cases():
-    assert mse(np.ones((2, 3)), np.ones((2, 3))) == 0.0
-    assert mae(np.ones((2, 3)), np.ones((2, 3))) == 0.0
-    assert mse([1.0, -1.0], [0.0, 0.0]) == pytest.approx(1.0)
-    assert mae([1.0, -1.0], [0.0, 0.0]) == pytest.approx(1.0)
-
-
-def test_metrics_nonnegative_and_zero_only_at_equality():
-    rng = np.random.default_rng(45)
-    y = rng.standard_normal((4, 7))
-    y_hat = y + rng.standard_normal((4, 7)) * 0.1
-    assert mse(y, y_hat) > 0.0
-    assert mae(y, y_hat) > 0.0

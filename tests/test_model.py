@@ -87,6 +87,12 @@ def test_config_rejects_bad_dims():
                            **bad})
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ModelConfig(lookback=24, horizon=4, channels=2, patch_scales=(6,), seed=-1)
+    assert ModelConfig(lookback=24, horizon=4, channels=2, patch_scales=(6,), seed=0).seed == 0
+
+
 def test_default_patch_scales():
     assert default_patch_scales(336) == (24, 48)
     assert default_patch_scales(720) == (24, 48)
@@ -566,6 +572,14 @@ def test_checkpoint_with_bad_model_config_raises_data_error(tmp_path, meta):
     path = tmp_path / "model.ftm"
     da.save_arrays(path, {n: params[n].values for n in params.names()}, meta)
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_negative_seed_raises_data_error(tmp_path):
+    path = tmp_path / "model.ftm"
+    save_checkpoint(path, FtMixerParams.initialize(TINY),
+                    {"model_config": dict(TINY.to_dict(), seed=-1)})
+    with pytest.raises(DataError, match="seed must be >= 0"):
         load_checkpoint(path)
 
 

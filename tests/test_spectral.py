@@ -6,9 +6,9 @@ import pytest
 from ftmixer import diffarray as da
 from ftmixer import spectral
 from ftmixer.errors import ContractError, NumericError
-from ftmixer.spectral import dct, dft_symmetric_extension_oracle, idct
+from ftmixer.spectral import dct, idct
 
-from helpers import assert_grads_match, tracked
+from helpers import assert_grads_match, dft_symmetric_extension_oracle, tracked
 
 
 def fit_constant(oracle: np.ndarray, coeffs: np.ndarray) -> float:

@@ -197,6 +197,11 @@ def test_train_config_rejects_non_positive_clip_and_eval_batch(kwargs):
         TrainConfig(**kwargs)
 
 
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+
+
 def test_epoch_records_validation_mae_and_time():
     prepared, config = small_problem()
     report, _ = train(config, TrainConfig(epochs=2, batch_size=64, seed=0), prepared)
