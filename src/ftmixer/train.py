@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import time
@@ -48,6 +49,10 @@ EVAL_BLOCK_BUDGET = 1 << 20
 # 1.08-1.56x slower on 3 of 4 shapes, 1008 KiB (N=3, L=336, B=32) 15.6 /
 # 13.1, 1176 KiB 18.0 / 14.0, 2352 KiB (the paper shape, B=32) 40.2 / 25.3.
 TRAIN_SHARD_MIN_BYTES = 1 << 19
+
+# glibc's malloc_trim (None elsewhere), which train() calls once its helper
+# threads are gone: their malloc arenas keep what they free resident.
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 
 @dataclass(frozen=True)
@@ -454,6 +459,8 @@ def train(
         batch_size=train_config.eval_batch_size,
         ablation=ablation,
     )
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     report.test_mse = test["mse"]
     report.test_mae = test["mae"]
     report.wall_seconds = time.perf_counter() - started

@@ -493,3 +493,20 @@ def test_train_helper_shard_error_names_epoch_and_offset_and_joins_threads(monke
         train(config, tc, prepared)
     assert helper_failed.is_set()
     assert threading.active_count() == before
+
+
+def test_train_trims_the_heap_once_its_helper_threads_are_gone(monkeypatch):
+    prepared, config = small_problem(channels=2)
+    tc = TrainConfig(epochs=1, batch_size=32, seed=0)
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(train_mod, "_workers", lambda: 2)
+    before = threading.active_count()
+    calls = []
+    monkeypatch.setattr(
+        train_mod, "_MALLOC_TRIM", lambda pad: calls.append((pad, threading.active_count()))
+    )
+    report, _ = train(config, tc, prepared)
+    assert calls == [(0, before)]
+    # a C library without malloc_trim trains the same
+    monkeypatch.setattr(train_mod, "_MALLOC_TRIM", None)
+    assert train(config, tc, prepared)[0].epochs == report.epochs
