@@ -151,8 +151,12 @@ def _require_data(settings: dict) -> data_mod.SeriesDataset:
 
 
 def _out_dir(settings: dict) -> Path:
+    """The artifact directory, made if missing; called before any work."""
     out = Path(settings["io"]["output"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -228,6 +232,7 @@ def _load_for_eval(settings):
 def cmd_eval(args) -> int:
     settings = _effective_settings(args)
     params, prepared, ablation = _load_for_eval(settings)
+    out = _out_dir(settings)
     metrics = evaluate(
         params,
         params.config,
@@ -236,7 +241,6 @@ def cmd_eval(args) -> int:
         batch_size=_train_config(settings).eval_batch_size,
         ablation=ablation,
     )
-    out = _out_dir(settings)
     _write_json(out / "metrics.json", dict(metrics, config=settings))
     print(json.dumps(metrics, sort_keys=True))
     return 0
@@ -253,6 +257,7 @@ def cmd_predict(args) -> int:
             f"window start {start} out of range; need 0 <= start <= "
             f"{prepared.length - span}"
         )
+    out = _out_dir(settings)
     window = prepared.values[:, start : start + span]
     pred_std = ftmixer_forward(
         window[None, :, : config.lookback], params.frozen(), config, ablation=ablation
@@ -266,7 +271,6 @@ def cmd_predict(args) -> int:
             rows.append(
                 [name, step, repr(float(predicted[c, step])), repr(float(actual[c, step]))]
             )
-    out = _out_dir(settings)
     _write_csv(out / "forecast.csv", settings, ["channel", "step", "predicted", "actual"], rows)
     print(f"wrote {len(rows)} forecast rows to {out / 'forecast.csv'}")
     return 0
@@ -282,9 +286,9 @@ def cmd_spectrum(args) -> int:
             f"window [{args.start}, {args.start + args.len}) out of range for "
             f"length {raw.length}"
         )
+    out = _out_dir(settings)
     segment = raw.values[args.channel, args.start : args.start + args.len]
     coefficients = spectral.dct(segment)
-    out = _out_dir(settings)
     _write_csv(
         out / "spectrum.csv",
         settings,
@@ -303,15 +307,17 @@ def cmd_sweep(args) -> int:
     # every length replaces the lookback and patch scales, so [model]'s
     # own are never used: check the rest at the first length
     first = args.lengths[0]
+    base_config = _model_config(settings, raw.channels, lookback=first, patch_scales=None)
+    train_config = _train_config(settings)
+    out = _out_dir(settings)
     rows = run_length_sweep(
         raw,
         settings["io"]["ratios"],
         args.lengths,
         settings["model"]["horizon"],
-        _train_config(settings),
-        base_config=_model_config(settings, raw.channels, lookback=first, patch_scales=None),
+        train_config,
+        base_config=base_config,
     )
-    out = _out_dir(settings)
     _write_csv(
         out / "sweep.csv",
         settings,

@@ -4,12 +4,20 @@ Expected file layout: UTF-8 comma-separated values, header row whose
 first cell is ``date``, remaining columns one numeric channel each.
 Values are stored channel-major (N x T).  Splits are chronological;
 standardization statistics come from the training rows only.
+
+:func:`load_csv` has two paths to one result.  A plain file (no quote
+character, one comma per channel on every line, finite numbers) is
+parsed in one vectorized ``np.loadtxt`` pass.  Every other file goes
+through the row reader (``csv`` plus ``float()`` per cell), which is the
+reference: it takes quoted cells and every number ``float()`` takes, and
+raises the :class:`ParseError` that names the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,32 +71,117 @@ class SeriesDataset:
 def load_csv(path, name: str | None = None) -> SeriesDataset:
     """Read a timestamp + channels CSV into a channel-major dataset.
 
-    Rejects missing files, duplicate channel names, ragged rows,
-    non-numeric cells, and non-finite values, reporting the offending
-    line number.  A leading UTF-8 byte order mark is skipped.
+    Rejects missing files, text that is not UTF-8, empty or duplicate
+    channel names, ragged rows, non-numeric cells, and non-finite values,
+    reporting the offending line number.  A leading UTF-8 byte order mark
+    is skipped.  Plain files take :func:`_parse_plain`; every other file,
+    and every error, goes through the row reader :func:`_parse_rows`.
     """
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot open dataset {path}: {exc}") from None
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    del raw
+    parsed = _parse_plain(text)
+    if parsed is None:
+        parsed = _parse_rows(m.group() for m in _LINE.finditer(text))
+    channel_names, timestamps, values = parsed
+    if name is None:
+        name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return SeriesDataset(
+        name=name,
+        values=values,
+        timestamps=tuple(timestamps),
+        channel_names=channel_names,
+    )
+
+
+# one line as open(newline="") yields it: ended by \r\n, \r or \n, end kept
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _channel_names(header: list[str]) -> tuple[str, ...]:
+    """Check the header row's cells and return the channel names."""
+    if len(header) < 2:
+        raise ParseError("need a timestamp column plus at least one channel", line=1)
+    if header[0].strip().lower() != "date":
+        raise ParseError(f"first header cell must be 'date', got {header[0]!r}", line=1)
+    channel_names = tuple(h.strip() for h in header[1:])
+    seen: set[str] = set()
+    for column, channel in enumerate(channel_names, start=2):
+        if not channel:
+            raise ParseError(f"empty channel name in column {column}", line=1)
+        if channel in seen:
+            raise ParseError(f"duplicate channel name {channel!r}", line=1)
+        seen.add(channel)
+    return channel_names
+
+
+def _parse_plain(text: str):
+    """Names, timestamps and [N, T] values of a plain file, or None.
+
+    One vectorized pass: ``np.loadtxt`` parses the channel columns of
+    every non-blank line and each line's first field is its timestamp.
+    Its result stands only if the text has no quote character, no
+    U+001C-U+001F (numpy skips those around a number, ``float()`` does
+    not) and no line over ``csv.field_size_limit()``, every line has one
+    comma per channel, and every value is finite.  Both parsers end in
+    ``PyOS_string_to_double``, so the values are bitwise what
+    :func:`_parse_rows` gives.  Without quotes the header cells are the
+    same on both paths, so a bad header raises here the error the row
+    reader would raise.  Anything else returns None, and the row reader
+    decides.
+    """
+    if not text or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    channel_names = _channel_names(lines[0].split(","))
+    rows = [line for line in lines[1:] if line]
+    del lines
+    if not rows:
+        return None
+    n = len(channel_names)
+    try:
+        values = np.loadtxt(
+            rows, dtype=np.float64, delimiter=",", comments=None, quotechar=None,
+            usecols=range(1, n + 1), ndmin=2,
+        )
+    except ValueError:
+        return None
+    # loadtxt found column n on every row, so each row has at least n
+    # commas; with the header's n, the total says none has more.
+    if (len(values) != len(rows) or text.count(",") != n * (len(rows) + 1)
+            or not np.isfinite(values).all()):
+        return None
+    return channel_names, [row[: row.index(",")] for row in rows], values.T
+
+
+def _parse_rows(lines):
+    """Names, timestamps and [N, T] values, read row by row.
+
+    The reference reader: ``csv.reader`` splits each row (quoted cells,
+    any line end) and ``float()`` parses each cell, so it also takes
+    digit underscores and non-ASCII digits.  Raises the
+    :class:`ParseError` of the first bad line.
+    """
+    reader = csv.reader(lines)
     rows: list[list[float]] = []
     timestamps: list[str] = []
     try:
-        f = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open dataset {path}: {exc}") from None
-    with f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if len(header) < 2:
-            raise ParseError("need a timestamp column plus at least one channel", line=1)
-        if header[0].strip().lower() != "date":
-            raise ParseError(f"first header cell must be 'date', got {header[0]!r}", line=1)
-        channel_names = tuple(h.strip() for h in header[1:])
-        seen: set[str] = set()
-        for channel in channel_names:
-            if channel in seen:
-                raise ParseError(f"duplicate channel name {channel!r}", line=1)
-            seen.add(channel)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", line=1)
+        channel_names = _channel_names(header)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -104,17 +197,11 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
                 raise ParseError("non-finite value", line=line_no)
             timestamps.append(row[0])
             rows.append(parsed)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not rows:
         raise ParseError("no data rows", line=2)
-    values = np.asarray(rows, dtype=np.float64).T  # [N, T]
-    if name is None:
-        name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return SeriesDataset(
-        name=name,
-        values=values,
-        timestamps=tuple(timestamps),
-        channel_names=channel_names,
-    )
+    return channel_names, timestamps, np.asarray(rows, dtype=np.float64).T
 
 
 def from_values(values: np.ndarray, name: str = "series") -> SeriesDataset:

@@ -535,6 +535,14 @@ def zero_grads(params: Sequence[DiffArray]) -> None:
 # Adam optimizer
 
 
+# Elements per fused Adam chunk.
+# Median of 180 steps over the paper shape's 15 parameters (236,717 values),
+# 2 cores, BLAS at 1 thread: 4 Ki 2.4-3.0 ms, 16 Ki 2.0-2.6 ms, 32-64 Ki
+# within that, one chunk per parameter 4.1 ms; the whole-array update took
+# 3.7-3.9 ms.
+ADAM_CHUNK = 16384
+
+
 @dataclass
 class AdamState:
     """Per-parameter moment buffers plus optimizer hyperparameters."""
@@ -571,15 +579,43 @@ def adam_step(params: Sequence[DiffArray], grads: Sequence[Array], state: AdamSt
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    coef = (state.beta1, state.beta2, 1.0 - state.beta1**t, 1.0 - state.beta2**t,
+            state.learning_rate, state.epsilon)
+    width = min(ADAM_CHUNK, max((p.values.size for p in params), default=0))
+    a, b = np.empty(width), np.empty(width)
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.values -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        if not all(x.flags.c_contiguous for x in (p.values, m, v)):
+            # reshape(-1) would copy, and the update would be lost
+            _adam_chunk(p.values, g, m, v, np.empty(p.shape), np.empty(p.shape), coef)
+            continue
+        flat = [x.reshape(-1) for x in (p.values, g, m, v)]
+        for lo in range(0, p.values.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, p.values.size)
+            _adam_chunk(*(x[lo:hi] for x in flat), a[: hi - lo], b[: hi - lo], coef)
+
+
+def _adam_chunk(p, g, m, v, a, b, coef) -> None:
+    """Adam on one chunk, in place, with ``a`` and ``b`` as scratch.
+
+    The same ufuncs in the same order as ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``,
+    so the result is bit-identical to those whole-array expressions.
+    """
+    b1, b2, bc1, bc2, lr, eps = coef
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1.0 - b2, out=a)
+    np.multiply(a, g, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, bc1, out=a)
+    np.multiply(a, lr, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, eps, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(p, a, out=p)
 
 
 def clip_global_norm(grads: Sequence[Array], max_norm: float) -> float:

@@ -77,6 +77,36 @@ def test_duplicate_channel_names_exit_2(tmp_path, capsys):
     assert "duplicate channel name 'a'" in capsys.readouterr().err
 
 
+def test_empty_channel_name_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty_name.csv"
+    path.write_text("date,,b\nt0,1,2\n", encoding="utf-8")
+    assert main(train_args(path, tmp_path / "out")) == 2
+    assert "line 1: empty channel name in column 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", ["afile", "afile/sub"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_output_that_cannot_be_a_directory_exits_1_before_training(
+        series_csv, tmp_path, capsys, monkeypatch, command, output):
+    (tmp_path / "afile").write_text("a regular file\n", encoding="utf-8")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output directory was checked")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(importlib.import_module("ftmixer.train"), "train", no_training)
+    out = tmp_path / output
+    if command == "train":
+        args = train_args(series_csv, out)
+    else:
+        args = ["sweep", "--data", str(series_csv), "--output", str(out),
+                "--lengths", "24,48", "--horizon", "12", "--epochs", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ftmixer: error: config: cannot use output directory {out}:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_indivisible_patch_scale_exits_1(series_csv, tmp_path, capsys):
     code = main(train_args(series_csv, tmp_path / "out", extra=["--patch-scales", "25"]))
     assert code == 1

@@ -103,6 +103,134 @@ def test_load_csv_missing_file():
         load_csv("/nonexistent/nowhere.csv")
 
 
+@pytest.mark.parametrize("header", ["date,,b", "date,a, ", "date,a,\t"])
+def test_load_csv_rejects_empty_channel_names(tmp_path, header):
+    path = tmp_path / "empty_name.csv"
+    path.write_text(header + "\nt0,1,2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="empty channel name") as exc:
+        load_csv(path)
+    assert exc.value.line == 1
+
+
+def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"date,a\nt0,1\nt1,\xff2\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_csv(path)
+    assert exc.value.line == 3
+
+
+def test_load_csv_cell_over_csv_field_limit_is_parse_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("date,a\nt0,1\n" + "t" * 200_000 + ",2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="field larger than field limit") as exc:
+        load_csv(path)
+    assert exc.value.line == 3
+
+
+def load_outcome(path):
+    """What load_csv gives: the dataset, bit for bit, or its ParseError."""
+    try:
+        ds = load_csv(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return "ok", ds.channel_names, ds.timestamps, ds.values.shape, ds.values.tobytes()
+
+
+# (id, file bytes, None if it loads, else the ParseError's line)
+LOADER_CASES = [
+    ("plain", b"date,a,b\nt0,1.5,-2\nt1,3,4e-3\n", None),
+    ("blank_line", b"date,a,b\nt0,1,2\n\nt1,3,4\n", None),
+    ("whitespace_only_line", b"date,a,b\nt0,1,2\n  \nt1,3,4\n", 3),
+    ("hash_led_timestamp", b"date,a,b\n#t0,1,2\nt1,3,4\n", None),
+    ("quoted_number", b'date,a,b\nt0,"1.5",2\nt1,3,4\n', None),
+    ("quoted_timestamp_with_comma", b'date,a,b\n"2016-07-01, 00:00",1,2\nt1,3,4\n', None),
+    ("quoted_timestamp", b'date,a,b\n"t0",1,2\nt1,3,4\n', None),
+    ("quoted_header", b'"date","a","b"\nt0,1,2\n', None),
+    ("spaces_around_numbers", b"date,a,b\nt0, 1 ,2 \nt1,  3,4\n", None),
+    ("tab_around_numbers", b"date,a,b\nt0,\t1,2\t\nt1,3,4\n", None),
+    ("non_ascii_space_around_number", "date,a,b\nt0,\xa01,2 \n".encode(), None),
+    ("digit_underscore", b"date,a,b\nt0,1_000,2\n", None),
+    ("arabic_indic_digit", "date,a,b\nt0,١,2\n".encode(), None),
+    ("hex_literal", b"date,a,b\nt0,1,2\nt1,0x10,2\n", 3),
+    ("empty_cell", b"date,a,b\nt0,1,2\nt1,,2\n", 3),
+    ("trailing_comma", b"date,a,b\nt0,1,2\nt1,3,4,\n", 3),
+    ("short_row", b"date,a,b\nt0,1,2\nt1,3\n", 3),
+    ("nan", b"date,a,b\nt0,1,2\nt1,nan,2\n", 3),
+    ("minus_infinity", b"date,a,b\nt0,1,2\nt1,2,-Infinity\n", 3),
+    ("overflow_1e400", b"date,a,b\nt0,1,2\nt1,1e400,2\n", 3),
+    ("exponent_forms", b"date,a,b\nt0,1e5,-2.5E-3\nt1,+.5e+2,7E0\nt2,5.,-0e-0\n", None),
+    ("subnormal", b"date,a\nt0,4.9e-324\nt1,2.2250738585072011e-308\n", None),
+    ("cr_only_line_ends", b"date,a,b\rt0,1,2\rt1,3,4\r", None),
+    ("crlf_line_ends", b"date,a,b\r\nt0,1,2\r\nt1,3,4", None),
+    ("form_feed_around_number", b"date,a,b\nt0,\x0c1,2\x0c\n", None),
+    ("form_feed_in_timestamp", b"date,a,b\n\x0ct0,1,2\n", None),
+    ("file_separator_led_number", b"date,a,b\nt0,1,2\nt1,\x1c3,4\n", 3),
+    ("nul_in_timestamp", b"date,a,b\nt\x000,1,2\n", None),
+    ("bom", b"\xef\xbb\xbfdate,a,b\nt0,1,2\n", None),
+    ("bom_in_number", "date,a,b\nt0,1,2\nt1,﻿3,4\n".encode(), 3),
+    ("bad_row_late", b"date,a\n" + b"".join(b"t%d,%d\n" % (i, i) for i in range(50)) + b"t50,x\n", 52),
+    ("header_only", b"date,a,b\n", 2),
+    ("empty_file", b"", 1),
+    ("bad_header", b"time,a\nt0,1\n", 1),
+]
+
+
+@pytest.mark.parametrize("content,error_line", [c[1:] for c in LOADER_CASES],
+                         ids=[c[0] for c in LOADER_CASES])
+def test_load_csv_matches_row_reader(tmp_path, monkeypatch, content, error_line):
+    path = tmp_path / "case.csv"
+    path.write_bytes(content)
+    got = load_outcome(path)
+
+    def no_vectorized_pass(*args, **kwargs):
+        raise ValueError("vectorized pass switched off")
+
+    monkeypatch.setattr(np, "loadtxt", no_vectorized_pass)
+    assert got == load_outcome(path)
+    if error_line is None:
+        assert got[0] == "ok"
+    else:
+        assert got[0] == "error" and got[2] == error_line
+
+
+def random_decimals(rng, count):
+    """Decimal strings: 1-20 digits, a point anywhere, signs, exponents."""
+    out = []
+    for _ in range(count):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 21))))
+        point = int(rng.integers(0, len(digits) + 1))
+        text = digits[:point] + "." + digits[point:] if rng.random() < 0.8 else digits
+        if rng.random() < 0.4:
+            text += f"{rng.choice(['e', 'E'])}{int(rng.integers(-330, 280)):+d}"
+        out.append(str(rng.choice(["", "-", "+"])) + text)
+    return out
+
+
+def decimal_csv(rng):
+    """A three-channel CSV text of random decimals, and their float() values."""
+    cells = random_decimals(rng, 3000)
+    rows = [f"t{i}," + ",".join(cells[i : i + 3]) for i in range(0, len(cells), 3)]
+    want = np.array([float(c) for c in cells]).reshape(-1, 3).T
+    return "date,a,b,c\n" + "\n".join(rows) + "\n", want
+
+
+def test_load_csv_parses_decimals_bitwise_like_float(tmp_path):
+    text, want = decimal_csv(np.random.default_rng(1515))
+    path = tmp_path / "decimals.csv"
+    path.write_text(text, encoding="utf-8")
+    assert load_csv(path).values.tobytes() == want.tobytes()
+
+
+def test_load_csv_takes_vectorized_pass_only_for_plain_files():
+    text, want = decimal_csv(np.random.default_rng(1515))
+    assert data_mod._parse_plain(text)[2].tobytes() == want.tobytes()
+    assert data_mod._parse_plain("date,a,b\r\nt0,1,2\r\n\r\nt1,3,4\r\n") is not None
+    for text in ['date,a\n"t0",1\n', "date,a\nt0,1_0\n", "date,a\nt0,1,2\n",
+                 "date,a\nt0,\x1f1\n", "date,a\nt0,inf\n", "date,a\n", ""]:
+        assert data_mod._parse_plain(text) is None, text
+
+
 def test_split_622_arithmetic():
     ds = from_values(np.zeros((1, 17420)), name="tall")
     out = chronological_split(ds, (0.6, 0.2, 0.2))

@@ -474,6 +474,33 @@ def test_adam_rejects_nan_and_leaves_params_untouched():
     assert state.step_count == 1
 
 
+def test_adam_chunks_match_whole_array_update_bitwise():
+    rng = np.random.default_rng(15)
+    values = [
+        rng.standard_normal(2 * da.ADAM_CHUNK + 5),            # three chunks, last short
+        rng.standard_normal((7, 128)),
+        rng.standard_normal(3),
+        np.asfortranarray(rng.standard_normal((30, 20))),      # one whole-array chunk
+        rng.standard_normal((30, 40))[:, ::2],                 # strided view, updated in place
+    ]
+    params = [tracked(v) for v in values]
+    state = AdamState(learning_rate=3e-3)
+    want = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t in range(1, 6):
+        grads = [rng.standard_normal(v.shape) * 10.0 ** rng.integers(-8, 2) for v in values]
+        adam_step(params, grads, state)
+        b1, b2 = state.beta1, state.beta2
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v2[i] = b2 * v2[i] + (1.0 - b2) * g * g
+            want[i] -= (state.learning_rate * (m[i] / (1.0 - b1**t))
+                        / (np.sqrt(v2[i] / (1.0 - b2**t)) + state.epsilon))
+    for p, w in zip(params, want):
+        assert p.values.tobytes() == w.tobytes()
+
+
 def test_clip_global_norm():
     g1 = np.array([3.0, 0.0])
     g2 = np.array([0.0, 4.0])
