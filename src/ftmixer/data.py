@@ -74,8 +74,8 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
     Rejects missing files, text that is not UTF-8, empty or duplicate
     channel names, ragged rows, non-numeric cells, and non-finite values,
     reporting the offending line number.  A leading UTF-8 byte order mark
-    is skipped.  Plain files take :func:`_parse_plain`; every other file,
-    and every error, goes through the row reader :func:`_parse_rows`.
+    is skipped.  Plain files take :func:`_parse_plain`; every other file
+    goes through the row reader :func:`_parse_rows`.
     """
     try:
         with open(path, "rb") as f:
@@ -147,7 +147,6 @@ def _parse_plain(text: str):
         return None
     channel_names = _channel_names(lines[0].split(","))
     rows = [line for line in lines[1:] if line]
-    del lines
     if not rows:
         return None
     n = len(channel_names)
