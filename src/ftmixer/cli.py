@@ -98,7 +98,7 @@ def _read_config_file(path) -> dict:
             parser.read_file(f)
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     merged: dict = {}
     for section in parser.sections():

@@ -171,7 +171,8 @@ def _parse_rows(lines):
     The reference reader: ``csv.reader`` splits each row (quoted cells,
     any line end) and ``float()`` parses each cell, so it also takes
     digit underscores and non-ASCII digits.  Raises the
-    :class:`ParseError` of the first bad line.
+    :class:`ParseError` of the first bad row, named by its physical line:
+    the last one of a row whose quoted cell spans lines.
     """
     reader = csv.reader(lines)
     rows: list[list[float]] = []
@@ -181,19 +182,18 @@ def _parse_rows(lines):
         if header is None:
             raise ParseError("empty file", line=1)
         channel_names = _channel_names(header)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, got {len(row)}", line=line_no
-                )
+                raise ParseError(f"expected {len(header)} cells, got {len(row)}", line=line)
             try:
                 parsed = [float(cell) for cell in row[1:]]
             except ValueError:
-                raise ParseError(f"non-numeric cell in {row[1:]!r}", line=line_no) from None
+                raise ParseError(f"non-numeric cell in {row[1:]!r}", line=line) from None
             if not all(np.isfinite(parsed)):
-                raise ParseError("non-finite value", line=line_no)
+                raise ParseError("non-finite value", line=line)
             timestamps.append(row[0])
             rows.append(parsed)
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()

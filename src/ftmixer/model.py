@@ -11,8 +11,10 @@ Data flow for one instance (N channels, lookback L, horizon tau):
    inverse transform, residual add of the raw patch, embedding w -> D_p;
    scales are concatenated along the patch axis
 4. the local branch is mixed by a depthwise (per-feature, along the
-   patch axis) plus pointwise convolution, then projected per channel to
-   D_f so both branches can be summed
+   patch axis, over all channels joined end to end) plus pointwise
+   convolution and a SiLU, one ``diffarray.separable_conv`` node that
+   runs in cache-sized row blocks, then projected per channel to D_f so
+   both branches can be summed
 5. a shared linear head maps D_f -> tau per channel, and the instance
    statistics from step 1 are restored
 
@@ -20,11 +22,10 @@ The fixed maps in steps 2 and 3 (cosine bases, the banded matrices of
 the channel and bin convolutions) are folded into the learned matrices
 next to them: the global branch runs as ``idct(T_N(k) @ (x @ (F_L @ W)
 + b))`` and each local scale as ``patches @ ((I + F_w T_w(k)^T F_w^-1)
-@ E_w) + b_w``; the pointwise convolution of step 4 is a matmul.  The
-parameters are the unfolded ones.  The blocks fetch these folds through
-``FtMixerParams.fold``: a tracked set rebuilds them on every forward, the
-untracked ``FtMixerParams.frozen()`` set used for evaluation builds them
-once.
+@ E_w) + b_w``.  The parameters are the unfolded ones.  The blocks fetch
+these folds through ``FtMixerParams.fold``: a tracked set rebuilds them on
+every forward, the untracked ``FtMixerParams.frozen()`` set used for
+evaluation builds them once.
 
 On a frozen set the linear head of step 5 also folds into both branches,
 since everything after each branch's last nonlinearity is linear: the
@@ -451,48 +452,31 @@ def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
     return da.affine(patches, patch_map, embed_b)
 
 
-def depthwise_pointwise(z, params: FtMixerParams, config: ModelConfig) -> DiffArray:
-    """Linear mixing stage of the separable convolution.
-
-    Input [..., N, n_tot, D_p]: channels are concatenated along the patch
-    axis, a depthwise (groups = D_p) convolution runs along it, then a
-    pointwise (1x1) convolution, a matmul, mixes the D_p features.
-    Shape-preserving.
-
-    The data stays in the [..., N * n_tot, D_p] layout throughout: the
-    depthwise conv reads a transposed view and its output has the same
-    memory order, and the pointwise conv is ``deep @ pw_k^T`` with a 2-D
-    right operand, so it runs as one GEMM and nothing is copied.
-    """
-    z = da._lift(z)
-    n_tot, dp = config.total_patches, config.patch_embed_dim
-    if z.values.ndim < 3 or z.shape[-2:] != (n_tot, dp) or z.shape[-3] != config.channels:
-        raise DimensionError(
-            f"depthwise_pointwise: expected [..., {config.channels}, {n_tot}, {dp}], "
-            f"got {z.shape}"
-        )
-    joined = da.reshape(z, z.shape[:-3] + (config.channels * n_tot, dp))
-    lanes = da.swapaxes(joined, -1, -2)  # [..., D_p, N * n_tot] view
-    depthwise = da.conv1d(lanes, params["ds_dw_k"], padding="same", groups=dp)
-    deep = da.swapaxes(depthwise, -1, -2)  # back to [..., N * n_tot, D_p], contiguous
-    pointwise = da.swapaxes(da.reshape(params["ds_pw_k"], (dp, dp)), 0, 1)
-    return da.reshape(da.matmul(deep, pointwise), z.shape)
-
-
 def ds_conv(z, params: FtMixerParams, config: ModelConfig, *,
             head: bool = False) -> DiffArray:
     """Separable-convolution mixer: [..., N, n_tot, D_p] -> [..., N, D_f].
 
-    Applies :func:`depthwise_pointwise`, a smooth ramp activation, then a
-    learned per-channel projection of the flattened patch features so the
-    output aligns with the global branch.
+    The N channels' patches are joined end to end, one sequence of
+    ``N * n_tot`` rows per window, and :func:`diffarray.separable_conv`
+    runs the depthwise conv (``ds_dw_k``, along that sequence), the
+    pointwise conv (``ds_pw_k``) and the SiLU on it in place, with no
+    copy of the layout.  A learned per-channel projection of the
+    flattened patch features then aligns the output with the global
+    branch.
 
     With ``head`` the branch's share of the prediction head (``pred_w``,
     not its bias) is folded into the projection, giving [..., N, tau]:
     ``flat @ (W_ds @ P) + b_ds @ P``.
     """
-    mixed = da.silu(depthwise_pointwise(z, params, config))
-    flat_dim = config.total_patches * config.patch_embed_dim
+    z = da._lift(z)
+    n_tot, dp = config.total_patches, config.patch_embed_dim
+    if z.values.ndim < 3 or z.shape[-3:] != (config.channels, n_tot, dp):
+        raise DimensionError(
+            f"ds_conv: expected [..., {config.channels}, {n_tot}, {dp}], got {z.shape}"
+        )
+    mixed = da.separable_conv(z, params["ds_dw_k"], params["ds_pw_k"],
+                              segment=config.channels * n_tot)
+    flat_dim = n_tot * dp
     flat = da.reshape(mixed, mixed.shape[:-2] + (flat_dim,))
     if head:
         proj, bias = _fold_head(

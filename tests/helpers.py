@@ -1,10 +1,14 @@
-"""Shared test utilities: finite-difference gradients, synthetic data."""
+"""Shared test utilities: finite-difference gradients, synthetic data, and
+the op-by-op composition that ``diffarray.separable_conv`` replaces."""
 
 from __future__ import annotations
+
+import string
 
 import numpy as np
 
 from ftmixer import data as data_mod
+from ftmixer import diffarray as da
 from ftmixer.diffarray import DiffArray
 
 
@@ -84,3 +88,94 @@ def sinusoid_dataset(steps: int = 2000, period: float = 24.0, amplitude: float =
     rows = [amplitude * np.sin(2.0 * np.pi * (t / period + c / max(channels, 1)))
             for c in range(channels)]
     return data_mod.from_values(np.stack(rows), name=name)
+
+
+# ---------------------------------------------------------------------------
+# the separable conv as four tape nodes, the oracle of ``da.separable_conv``
+
+
+def conv1d(x, kernels) -> DiffArray:
+    """Depthwise same-padded cross-correlation along the last axis of
+    ``x`` [..., C, L], one kernel per channel (``kernels`` [C, 1, K]).
+
+    Tap j reads ``x[i + j - (K - 1) // 2]``, with zeros outside ``x``;
+    ufuncs keep ``x``'s memory order, so a transposed view is convolved
+    in place of a contiguous copy.
+    """
+    x, k = da._lift(x), da._lift(kernels)
+    channels, length = x.shape[-2:]
+    ksize = k.shape[-1]
+    left = (ksize - 1) // 2
+    taps = k.values.reshape(channels, ksize, 1)
+    xv = x.values
+    shifts = [(j, j - left) for j in range(ksize) if j != left and abs(j - left) < length]
+    y = xv * taps[:, left]
+    for j, s in shifts:
+        out_part, in_part = _shifted(s, length)
+        y[..., out_part] += xv[..., in_part] * taps[:, j]
+
+    def backprop(g):
+        dx = g * taps[:, left]
+        for j, s in shifts:
+            out_part, in_part = _shifted(s, length)
+            dx[..., in_part] += g[..., out_part] * taps[:, j]
+        da._accum(x, dx)
+        lead = string.ascii_uppercase[: xv.ndim - 2]
+        per_channel = f"{lead}ci,{lead}ci->c"
+        dk = np.zeros((channels, ksize))
+        dk[:, left] = np.einsum(per_channel, g, xv)
+        for j, s in shifts:
+            out_part, in_part = _shifted(s, length)
+            dk[:, j] = np.einsum(per_channel, g[..., out_part], xv[..., in_part])
+        da._accum(k, dk.reshape(k.shape))
+
+    return da._node(y, (x, k), backprop)
+
+
+def _shifted(shift: int, length: int) -> tuple[slice, slice]:
+    """(output, input) slices where ``out[i] += in[i + shift]`` stays in range."""
+    if shift > 0:
+        return slice(0, length - shift), slice(shift, length)
+    return slice(-shift, length), slice(0, length + shift)
+
+
+def silu(x) -> DiffArray:
+    """x * sigmoid(x), with the ufuncs in ``separable_conv``'s order."""
+    x = da._lift(x)
+    sig = np.negative(x.values)
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    out = x.values * sig
+
+    def backprop(g):
+        slope = 1.0 - sig
+        slope *= x.values
+        slope += 1.0
+        dx = g * sig
+        dx *= slope
+        da._accum(x, dx)
+
+    return da._node(out, (x,), backprop)
+
+
+def separable_conv_composition(z, dw_k, pw_k, segment: int) -> DiffArray:
+    """``da.separable_conv`` as four nodes over whole arrays: the depthwise
+    conv over a transposed view of each ``segment``-row sequence, a swap
+    back, the pointwise matmul, and ``silu``."""
+    z, pw_k = da._lift(z), da._lift(pw_k)
+    dim = z.shape[-1]
+    rows = da.reshape(z, (-1, segment, dim))
+    depthwise = da.swapaxes(conv1d(da.swapaxes(rows, -1, -2), dw_k), -1, -2)
+    pointwise = da.swapaxes(da.reshape(pw_k, (dim, dim)), 0, 1)
+    return da.reshape(silu(da.matmul(depthwise, pointwise)), z.shape)
+
+
+def ds_conv_composition(z, params, config) -> DiffArray:
+    """``model.ds_conv`` (tracked) with :func:`separable_conv_composition`."""
+    n_tot, dp = config.total_patches, config.patch_embed_dim
+    mixed = separable_conv_composition(z, params["ds_dw_k"], params["ds_pw_k"],
+                                       config.channels * n_tot)
+    flat = da.reshape(mixed, mixed.shape[:-2] + (n_tot * dp,))
+    return da.affine(flat, params["ds_proj_w"], params["ds_proj_b"])

@@ -132,7 +132,7 @@ def test_criterion_3_gradient_suite():
     worst_linear = 0.0
     worst_nonlinear = 0.0
 
-    # elementwise and linear ops at the tighter tolerance
+    # elementwise and linear ops, and the separable conv, at the tighter tolerance
     a = tracked(rng.standard_normal((3, 4)))
     b = tracked(rng.standard_normal((3, 4)))
     r = rng.standard_normal((3, 4))
@@ -154,13 +154,16 @@ def test_criterion_3_gradient_suite():
         _grad_case(lambda: da.reduce_sum(da.mul(da.matmul(m1, m2), rm)), [m1, m2], 1e-6),
     )
 
-    cx = tracked(rng.standard_normal((4, 16)))
+    cx = tracked(rng.standard_normal((2, 8, 4)))
     ck = tracked(rng.standard_normal((4, 1, 3)))
-    cr = rng.standard_normal((4, 16))
+    cp = tracked(rng.standard_normal((4, 4, 1)) / 2.0)
+    cr = rng.standard_normal((2, 8, 4))
     worst_linear = max(
         worst_linear,
         _grad_case(
-            lambda: da.reduce_sum(da.mul(da.conv1d(cx, ck, groups=4), cr)), [cx, ck], 1e-6
+            lambda: da.reduce_sum(da.mul(da.separable_conv(cx, ck, cp, segment=8), cr)),
+            [cx, ck, cp],
+            1e-6,
         ),
     )
 

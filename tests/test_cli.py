@@ -250,6 +250,14 @@ def test_config_file_unknown_key_exits_1(series_csv, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_exits_1(series_csv, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"\xff\xfe")
+    code = main(["train", "--config", str(cfg), "--data", str(series_csv)])
+    assert code == 1
+    _single_error_line(capsys.readouterr().err, "config")
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("model", "lookback", "abc"),
     ("train", "learning_rate", "fast"),

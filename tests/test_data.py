@@ -169,6 +169,8 @@ LOADER_CASES = [
     ("nul_in_timestamp", b"date,a,b\nt\x000,1,2\n", None),
     ("bom", b"\xef\xbb\xbfdate,a,b\nt0,1,2\n", None),
     ("bom_in_number", "date,a,b\nt0,1,2\nt1,﻿3,4\n".encode(), 3),
+    ("bad_row_after_multiline_cell", b'date,a\n"t\n0",1\nt1,x\n', 4),
+    ("bad_multiline_row", b'date,a\nt0,1\n"t\n1",x\n', 4),
     ("bad_row_late", b"date,a\n" + b"".join(b"t%d,%d\n" % (i, i) for i in range(50)) + b"t50,x\n", 52),
     ("header_only", b"date,a,b\n", 2),
     ("empty_file", b"", 1),

@@ -1,4 +1,4 @@
-"""Array engine: elementwise ops, matmul, conv, backward, Adam."""
+"""Array engine: elementwise ops, matmul, the separable conv, backward, Adam."""
 
 import struct
 
@@ -7,9 +7,9 @@ import pytest
 
 from ftmixer import diffarray as da
 from ftmixer.diffarray import AdamState, DiffArray, adam_step, backward
-from ftmixer.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
+from ftmixer.errors import ContractError, DataError, DimensionError, NumericError
 
-from helpers import assert_grads_match, central_diff_grads, max_rel_err, tracked
+from helpers import assert_grads_match, central_diff_grads, conv1d, max_rel_err, silu, tracked
 
 
 def test_add_elementwise():
@@ -148,31 +148,76 @@ def test_matmul_transposed_left_view_gradients():
     assert_grads_match(loss_fn, [base, b], tol=1e-6)
 
 
-def test_conv1d_identity_kernel():
-    x = DiffArray([[1.0, 2.0, 3.0, 4.0]])
-    out = da.conv1d(x, DiffArray([[[1.0]]]), padding="same")
-    np.testing.assert_allclose(out.values, x.values)
+def separable_leaves(rng, shape, ksize):
+    dim = shape[-1]
+    return (tracked(rng.standard_normal(shape)), tracked(rng.standard_normal((dim, 1, ksize))),
+            tracked(rng.standard_normal((dim, dim, 1)) / np.sqrt(dim)))
 
 
-def test_conv1d_centered_delta_same_padding():
-    x = DiffArray([[1.0, 2.0, 3.0, 4.0]])
-    out = da.conv1d(x, DiffArray([[[0.0, 1.0, 0.0]]]), padding="same")
-    np.testing.assert_allclose(out.values, x.values)
+def padded_depthwise(z, taps, segment):
+    """Same-padded per-feature cross-correlation along each run of
+    ``segment`` rows of ``z`` [..., D], by zero padding; taps [D, K]."""
+    dim, ksize = taps.shape
+    left = (ksize - 1) // 2
+    seqs = z.reshape(-1, segment, dim)
+    padded = np.pad(seqs, ((0, 0), (left, ksize - 1 - left), (0, 0)))
+    return sum(padded[:, j : j + segment] * taps[:, j] for j in range(ksize)).reshape(z.shape)
 
 
-def test_conv1d_invalid_groups():
-    with pytest.raises(ConfigError):
-        da.conv1d(DiffArray(np.zeros((4, 8))), DiffArray(np.zeros((4, 2, 3))), groups=3)
+def silu_values(v):
+    return v / (1.0 + np.exp(-v))
 
 
-def test_conv1d_rejects_every_mode_but_depthwise_same():
-    x = DiffArray(np.zeros((4, 8)))
-    with pytest.raises(ConfigError):
-        da.conv1d(x, DiffArray(np.zeros((4, 1, 3))), padding="valid", groups=4)
-    with pytest.raises(ConfigError):
-        da.conv1d(x, DiffArray(np.zeros((4, 4, 1))), groups=1)  # pointwise
-    with pytest.raises(ConfigError):
-        da.conv1d(x, DiffArray(np.zeros((6, 2, 3))), groups=2)  # grouped
+@pytest.mark.parametrize("ksize", [1, 3, 4])
+def test_separable_conv_identity_kernels_give_silu(ksize):
+    z = np.random.default_rng(ksize).standard_normal((2, 9, 3))
+    dw = np.zeros((3, 1, ksize))
+    dw[:, 0, (ksize - 1) // 2] = 1.0  # per-feature centred delta
+    out = da.separable_conv(z, dw, np.eye(3)[:, :, None], segment=9)
+    np.testing.assert_allclose(out.values, silu_values(z), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("ksize", [3, 4])
+def test_separable_conv_depthwise_matches_padded_sum(ksize):
+    rng = np.random.default_rng(20 + ksize)
+    z, dw, pw = separable_leaves(rng, (2, 6, 5), ksize)
+    segment = 4  # three sequences, the middle one split across batch rows
+    taps = dw.values[:, 0, :]
+    deep = padded_depthwise(z.values, taps, segment)
+    out = da.separable_conv(z, dw, pw, segment)
+    np.testing.assert_allclose(out.values, silu_values(deep @ pw.values[:, :, 0].T),
+                               rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("ksize", [3, 4])
+def test_separable_conv_gradients(ksize):
+    rng = np.random.default_rng(4 + ksize)
+    z, dw, pw = separable_leaves(rng, (3, 4, 5), ksize)
+    weights = rng.standard_normal((3, 4, 5))
+
+    def forward():
+        return da.separable_conv(z, dw, pw, segment=6)
+
+    backward(da.reduce_sum(da.mul(forward(), weights)))
+
+    def loss_fn():
+        return float(np.sum(forward().values * weights))
+
+    assert_grads_match(loss_fn, [z, dw, pw], tol=1e-6)
+
+
+@pytest.mark.parametrize("z_shape, dw_shape, pw_shape, segment", [
+    ((4, 8), (4, 2, 3), (4, 4, 1), 4),  # grouped kernels
+    ((4, 8), (8, 1, 3), (4, 4, 1), 4),  # pointwise kernels as depthwise
+    ((4, 8), (8, 1, 3), (8, 8), 4),  # pointwise weights without their kernel axis
+    ((8,), (8, 1, 3), (8, 8, 1), 1),  # no row axis
+    ((6, 8), (8, 1, 3), (8, 8, 1), 4),  # 6 rows are no whole number of sequences
+    ((6, 8), (8, 1, 3), (8, 8, 1), 0),
+], ids=["grouped_kernels", "pointwise_kernels_as_depthwise", "pointwise_without_kernel_axis",
+        "no_row_axis", "rows_not_whole_sequences", "empty_sequences"])
+def test_separable_conv_rejects_shapes_it_cannot_apply(z_shape, dw_shape, pw_shape, segment):
+    with pytest.raises(DimensionError):
+        da.separable_conv(np.zeros(z_shape), np.zeros(dw_shape), np.zeros(pw_shape), segment)
 
 
 def direct_same_conv_matrix(taps, length):
@@ -192,7 +237,7 @@ def test_same_conv_matrix_matches_direct_loop(ksize, length):
     out = da.same_conv_matrix(DiffArray(taps.reshape(1, 1, ksize)), length).values
     np.testing.assert_array_equal(out, direct_same_conv_matrix(taps, length))
     v = np.random.default_rng(1).standard_normal(length)
-    conv = da.conv1d(DiffArray(v[None, :]), DiffArray(taps.reshape(1, 1, ksize)), groups=1)
+    conv = conv1d(DiffArray(v[None, :]), DiffArray(taps.reshape(1, 1, ksize)))
     np.testing.assert_allclose(out @ v, conv.values[0], atol=1e-12)
 
 
@@ -212,48 +257,6 @@ def test_same_conv_matrix_gradients(ksize, length):
         return float(forward().values)
 
     assert_grads_match(loss_fn, [taps], tol=1e-6)
-
-
-def test_conv1d_depthwise_gradients():
-    rng = np.random.default_rng(4)
-    x = tracked(rng.standard_normal((4, 16)))
-    k = tracked(rng.standard_normal((4, 1, 3)))
-    weights = rng.standard_normal((4, 16))
-
-    def forward():
-        return da.conv1d(x, k, padding="same", groups=4)
-
-    loss = da.reduce_sum(da.mul(forward(), weights))
-    backward(loss)
-
-    def loss_fn():
-        return float(np.sum(forward().values * weights))
-
-    assert_grads_match(loss_fn, [x, k], tol=1e-6)
-
-
-@pytest.mark.parametrize("ksize", [3, 4])
-def test_conv1d_batched_transposed_view_gradients(ksize):
-    rng = np.random.default_rng(20 + ksize)
-    base = tracked(rng.standard_normal((2, 9, 3)))  # [B, L, C]
-    k = tracked(rng.standard_normal((3, 1, ksize)))
-    weights = rng.standard_normal((2, 3, 9))
-
-    def forward():
-        lanes = da.swapaxes(base, -1, -2)  # [B, C, L] view
-        return da.conv1d(lanes, k, padding="same", groups=3)
-
-    out = forward()
-    left = (ksize - 1) // 2
-    padded = np.pad(np.swapaxes(base.values, -1, -2), ((0, 0), (0, 0), (left, ksize - 1 - left)))
-    direct = sum(padded[..., j : j + 9] * k.values[:, 0, j][:, None] for j in range(ksize))
-    np.testing.assert_allclose(out.values, direct, atol=1e-13)
-    backward(da.reduce_sum(da.mul(out, weights)))
-
-    def loss_fn():
-        return float(np.sum(forward().values * weights))
-
-    assert_grads_match(loss_fn, [base, k], tol=1e-6)
 
 
 def test_backward_sum_gradient():
@@ -305,7 +308,7 @@ def test_reductions_and_nonlinearities_gradients():
     def forward():
         s = da.sqrt(da.clamp_min(x, 0.5))
         m = da.reduce_mean(s, axis=-1, keepdims=True)
-        return da.reduce_sum(da.silu(da.sub(s, m)))
+        return da.reduce_sum(silu(da.sub(s, m)))
 
     loss = forward()
     backward(loss)
@@ -422,7 +425,7 @@ def test_graph_determinism():
     def run():
         x = tracked(x_values.copy())
         w = tracked(w_values.copy())
-        out = da.silu(da.matmul(x, w))
+        out = silu(da.matmul(x, w))
         backward(da.reduce_sum(da.mul(out, out)))
         return out.values.copy(), x.grad.copy(), w.grad.copy()
 

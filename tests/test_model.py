@@ -2,6 +2,8 @@
 
 import threading
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from ftmixer.model import (
     FtMixerParams,
     ModelConfig,
     default_patch_scales,
-    depthwise_pointwise,
     ds_conv,
     fcc_forward,
     ftmixer_forward,
@@ -27,7 +28,12 @@ from ftmixer.model import (
     wfc_forward,
 )
 
-from helpers import assert_grads_match, tracked
+from helpers import (
+    assert_grads_match,
+    ds_conv_composition,
+    separable_conv_composition,
+    tracked,
+)
 
 TINY = ModelConfig(
     lookback=24,
@@ -255,8 +261,86 @@ def test_depthwise_pointwise_identity_composition():
     params["ds_pw_k"].values[:, :, 0] = np.eye(config.patch_embed_dim)
     rng = np.random.default_rng(28)
     z = rng.standard_normal((2, config.total_patches, config.patch_embed_dim))
-    out = depthwise_pointwise(DiffArray(z), params, config)
-    np.testing.assert_allclose(out.values, z, atol=1e-12)
+    out = da.separable_conv(DiffArray(z), dw, params["ds_pw_k"],
+                            segment=config.channels * config.total_patches)
+    np.testing.assert_allclose(out.values, z / (1.0 + np.exp(-z)), rtol=1e-15, atol=1e-15)
+
+
+def relative_error(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# (config, batch shape): the paper's FULL shape (147-row sequences, three to
+# a block), even taps, one tap, sequences longer than a block (40 * 21 = 840
+# rows: a block and a 328-row rest), and unbatched input
+SEPARABLE_CASES = {
+    "full": (FULL, (2,)),
+    "tiny": (TINY, (3,)),
+    "even_k4": (EVEN, (2,)),
+    "k1": (replace(TINY, ds_dw_kernel_size=1), (2,)),
+    "longer_than_block": (replace(FULL, channels=40), (2,)),
+    "unbatched": (TINY, ()),
+}
+
+
+@pytest.mark.parametrize("case", list(SEPARABLE_CASES))
+def test_separable_conv_matches_composition(case):
+    config, batch = SEPARABLE_CASES[case]
+    segment = config.channels * config.total_patches
+    rng = np.random.default_rng(40)
+    shape = batch + (config.channels, config.total_patches, config.patch_embed_dim)
+    z_values = rng.standard_normal(shape)
+    weights = rng.standard_normal(shape)
+    results = []
+    for op in (da.separable_conv, separable_conv_composition):
+        params = FtMixerParams.initialize(config)
+        z = tracked(z_values)
+        out = op(z, params["ds_dw_k"], params["ds_pw_k"], segment)
+        backward(da.reduce_sum(da.mul(out, weights)))
+        results.append((out.values, z.grad, params["ds_dw_k"].grad, params["ds_pw_k"].grad))
+    (out, *grads), (want, *want_grads) = results
+    assert relative_error(out, want) <= 1e-12
+    for grad, want_grad in zip(grads, want_grads):
+        assert relative_error(grad, want_grad) <= 1e-12
+    frozen = FtMixerParams.initialize(config).frozen()
+    untracked = da.separable_conv(z_values, frozen["ds_dw_k"], frozen["ds_pw_k"], segment)
+    assert not untracked.requires_grad
+    assert np.array_equal(untracked.values, out)
+
+
+def test_ds_conv_holds_less_memory_than_the_composition():
+    # a train_wide shard: 4 windows of N=321, L=96, 7.5 MB of local patches
+    config = ModelConfig(lookback=96, horizon=96, channels=321, seed=0)
+    params = FtMixerParams.initialize(config)
+    rng = np.random.default_rng(41)
+    z_values = rng.standard_normal((4, 321, config.total_patches, config.patch_embed_dim))
+    weights = rng.standard_normal((4, 321, config.fcc_embed_dim))
+    measured = []
+    for op in (ds_conv, ds_conv_composition):
+        da.zero_grads(params.all())
+        z = tracked(z_values)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = op(z, params, config)
+            held = tracemalloc.get_traced_memory()[0] - base
+            backward(da.reduce_sum(da.mul(out, weights)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        measured.append((held, peak))
+        del out, z
+    (held, peak), (composition_held, composition_peak) = measured
+    assert held <= 0.6 * composition_held, (held, composition_held)
+    assert peak <= 0.8 * composition_peak, (peak, composition_peak)
+
+
+def test_ds_conv_shape_mismatch():
+    params = FtMixerParams.initialize(TINY)
+    n_tot, dp = TINY.total_patches, TINY.patch_embed_dim
+    for shape in ((3, n_tot, dp), (2, n_tot + 1, dp), (2 * n_tot, dp)):
+        with pytest.raises(DimensionError):
+            ds_conv(DiffArray(np.zeros(shape)), params, TINY)
 
 
 def test_ds_conv_output_aligns_with_global_branch():
