@@ -171,8 +171,7 @@ def _parse_rows(lines):
     The reference reader: ``csv.reader`` splits each row (quoted cells,
     any line end) and ``float()`` parses each cell, so it also takes
     digit underscores and non-ASCII digits.  Raises the
-    :class:`ParseError` of the first bad row, named by its physical line:
-    the last one of a row whose quoted cell spans lines.
+    :class:`ParseError` of the first bad row, naming its last physical line.
     """
     reader = csv.reader(lines)
     rows: list[list[float]] = []

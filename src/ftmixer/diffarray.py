@@ -39,6 +39,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DataError, DimensionError, NumericError
 
@@ -288,10 +289,10 @@ def _same_conv_index(ksize: int, length: int) -> Array:
     return index
 
 
-# Rows per separable_conv block, so that its buffers stay in L2.  Forward + backward
-# ms at 256 / 512 / 1024 rows (BLAS at 1 thread, D = 64): paper shard (B=16) 4.0 /
-# 4.3 / 4.0, train_wide shard (B=4) 14.1 / 13.9 / 13.6, N=862 L=336 B=4 127 / 124 / 131.
-SEPARABLE_BLOCK_ROWS = 512
+# Rows per separable_conv block (L2-sized).  Train step p50, paper shape as two 16-window shards,
+# BLAS at 1 thread, 256 / 512 / 1024 / 2048 rows: 13.3 / 11.6 / 11.4 / 11.3 ms (four-node
+# composition 11.4); train_wide, 512 / 1024 / 2048: 54.6 / 54.4 / 53.1 ms (composition 62.7).
+SEPARABLE_BLOCK_ROWS = 1024
 
 
 def separable_conv(z, dw_k, pw_k, segment: int) -> DiffArray:
@@ -304,97 +305,100 @@ def separable_conv(z, dw_k, pw_k, segment: int) -> DiffArray:
     then ``pre = deep @ pw_k[:, :, 0]^T`` mixes the features, and the
     result is ``pre * sigmoid(pre)`` in ``z``'s shape.
 
-    The rows run in blocks of whole sequences, or of part of a long one,
-    of at most :data:`SEPARABLE_BLOCK_ROWS` rows; a block's depthwise
-    output lives only in a block-sized buffer.  A tracked call keeps two
-    arrays of ``z``'s size, the output and its sigmoid, an untracked one
-    only the output.  The backward recomputes each block's depthwise
-    output; the one array of ``z``'s size it allocates is ``z``'s gradient.
+    The rows run in blocks of at most :data:`SEPARABLE_BLOCK_ROWS`, whole
+    sequences or part of a long one, and the depthwise output only ever
+    fills a block buffer.  A tracked call keeps the output and the SiLU's
+    slope, an untracked one the output; the backward recomputes the
+    depthwise output and allocates one array of ``z``'s size, its gradient.
     """
     z, dw_k, pw_k = _lift(z), _lift(dw_k), _lift(pw_k)
     dim = z.shape[-1] if z.values.ndim >= 2 else 0
     if (dim < 1 or dw_k.values.ndim != 3 or dw_k.shape[:2] != (dim, 1)
             or pw_k.shape != (dim, dim, 1) or segment < 1 or (z.size // dim) % segment):
-        raise DimensionError(
-            f"separable_conv: need z [..., D] of whole {segment}-row sequences, dw_k "
-            f"[D, 1, K] and pw_k [D, D, 1]; got {z.shape}, {dw_k.shape} and {pw_k.shape}"
-        )
-    ksize = dw_k.shape[-1]
-    left = (ksize - 1) // 2
-    taps, mix = dw_k.values.reshape(dim, ksize), pw_k.values.reshape(dim, dim)  # mix [out, in]
+        raise DimensionError(f"separable_conv: need z [..., D] of whole {segment}-row "
+                             f"sequences, dw_k [D, 1, K] and pw_k [D, D, 1]; got {z.shape}, "
+                             f"{dw_k.shape} and {pw_k.shape}")
+    ksize, left = dw_k.shape[-1], (dw_k.shape[-1] - 1) // 2
+    taps = np.ascontiguousarray(dw_k.values.reshape(dim, ksize).T)  # [K, D]
+    mix = pw_k.values.reshape(dim, dim)  # [out, in]
     x = z.values.reshape(-1, segment, dim)
-    # (s0, s1, a, b): rows a:b of sequences s0:s1, whole ones if they fit
+    # (s0, s1, a, b): rows a:b of sequences s0:s1, whole ones if they fit,
+    # so a block is contiguous and reshaping it gives a view to write into
     step = max(1, SEPARABLE_BLOCK_ROWS // segment)
     blocks = [(s, min(s + step, len(x)), a, min(a + SEPARABLE_BLOCK_ROWS, segment))
               for s in range(0, len(x), step) for a in range(0, segment, SEPARABLE_BLOCK_ROWS)]
     width = max(((s1 - s0) * (b - a) * dim for s0, s1, a, b in blocks), default=0)
+    padded_width = width + ksize * dim * min(step, len(x))
 
-    def block_taps(a, b):
-        """(tap, block rows, sequence rows it reads) for block rows ``a:b``:
-        tap j reads row i + j - left, where that is inside the sequence;
-        the centre tap first, then the others in order."""
-        for j in [left] + [j for j in range(ksize) if j != left]:
-            lo, hi = max(a, left - j), min(b, segment + left - j)
-            if lo < hi:
-                yield j, slice(lo - a, hi - a), slice(lo + j - left, hi + j - left)
+    def padded(buf, m, a, b, before):
+        """``buf`` as m sequences' rows from ``a - before``, zero outside; the inside's slices."""
+        pad = _head(buf, (m, b - a + ksize - 1, dim))
+        lo, hi = max(0, before - a), min(pad.shape[1], segment + before - a)
+        pad[:, :lo] = pad[:, hi:] = 0.0
+        return pad, slice(lo, hi), slice(a - before + lo, a - before + hi)
 
-    def depthwise(s0, s1, a, b, deep, scratch):
-        for j, rows, reads in block_taps(a, b):
-            src = x[s0:s1, reads]
-            if j == left:
-                np.multiply(src, taps[:, j], out=deep)
-            else:
-                part = scratch[: src.size].reshape(src.shape)
-                np.multiply(src, taps[:, j], out=part)
-                deep[:, rows] += part
+    def depthwise(buf, s0, s1, a, b, deep):
+        """Rows ``a:b`` of sequences ``s0:s1`` of the depthwise output into ``deep``."""
+        pad, inside, rows = padded(buf, s1 - s0, a, b, left)
+        pad[:, inside] = x[s0:s1, rows]
+        np.einsum("mrkd,kd->mrd", _windows(pad, ksize), taps, out=deep)
+        return pad
 
     out = np.empty(x.shape)
-    sig = np.empty(x.shape) if any(p.requires_grad for p in (z, dw_k, pw_k)) else None
-    deep_buf, scratch, sig_buf = np.empty(width), np.empty(width), np.empty(width)
+    slope = np.empty(x.shape) if any(p.requires_grad for p in (z, dw_k, pw_k)) else None
+    pad_buf, deep_buf, sig_buf = np.empty(padded_width), np.empty(width), np.empty(width)
     with np.errstate(over="ignore"):
         for s0, s1, a, b in blocks:
             n = (s1 - s0) * (b - a)
-            deep = deep_buf[: n * dim].reshape(s1 - s0, b - a, dim)
-            depthwise(s0, s1, a, b, deep, scratch)
-            o = out[s0:s1, a:b].reshape(n, dim)
+            deep = _head(deep_buf, (s1 - s0, b - a, dim))
+            depthwise(pad_buf, s0, s1, a, b, deep)
+            o, s = out[s0:s1, a:b].reshape(n, dim), _head(sig_buf, (n, dim))
             np.matmul(deep.reshape(n, dim), mix.T, out=o)
-            s = (sig_buf[: n * dim] if sig is None else sig[s0:s1, a:b]).reshape(n, dim)
-            np.negative(o, out=s)
-            np.exp(s, out=s)
-            s += 1.0
-            np.reciprocal(s, out=s)
+            np.exp(np.negative(o, out=s), out=s)
+            np.reciprocal(np.add(s, 1.0, out=s), out=s)
             o *= s
+            if slope is not None:  # silu'(pre) = sig + out - out * sig
+                d = slope[s0:s1, a:b].reshape(n, dim)
+                np.subtract(o, np.multiply(o, s, out=d), out=d)
+                d += s
 
     def backprop(g):
         g = g.reshape(x.shape)
-        dx = np.zeros(x.shape) if z.requires_grad else None
-        dk, dmix = np.zeros((dim, ksize)), np.zeros((dim, dim))
-        dpre_buf, deep_buf, scratch = np.empty(width), np.empty(width), np.empty(width)
+        dx = np.empty(x.shape)
+        dk, dmix = np.zeros((ksize, dim)), np.zeros((dim, dim))
+        pad_buf, dd_buf, dpre_buf, deep_buf = (np.empty(padded_width) for _ in range(4))
         for s0, s1, a, b in blocks:
-            n = (s1 - s0) * (b - a)
-            o, s = out[s0:s1, a:b].reshape(n, dim), sig[s0:s1, a:b].reshape(n, dim)
-            # silu'(pre) = sig * (1 + pre * (1 - sig)) = sig + out - out * sig
-            dpre = dpre_buf[: n * dim].reshape(n, dim)
-            np.multiply(o, s, out=dpre)
-            np.subtract(o, dpre, out=dpre)
-            dpre += s
-            dpre *= g[s0:s1, a:b].reshape(n, dim)
-            deep = deep_buf[: n * dim].reshape(s1 - s0, b - a, dim)
-            depthwise(s0, s1, a, b, deep, scratch)
-            dmix += dpre.T @ deep.reshape(n, dim)
-            np.matmul(dpre, mix, out=deep.reshape(n, dim))  # now deep's gradient
-            for j, rows, reads in block_taps(a, b):
-                dk[:, j] += np.einsum("mnd,mnd->d", deep[:, rows], x[s0:s1, reads])
-                if dx is not None:
-                    part = scratch[: deep[:, rows].size].reshape(deep[:, rows].shape)
-                    np.multiply(deep[:, rows], taps[:, j], out=part)
-                    dx[s0:s1, reads] += part
-        if dx is not None:
-            _accum(z, dx.reshape(z.shape))
-        _accum(dw_k, dk.reshape(dw_k.shape))
+            # deep's gradient dd, padded so that dx[i] = sum_j dd[i - j + left] * tap j
+            # is a window sum with the taps reversed (it reads past a partial block)
+            m, right = s1 - s0, ksize - 1 - left
+            dd, inside, rows = padded(dd_buf, m, a, b, right)
+            dpre = np.multiply(g[s0:s1, rows], slope[s0:s1, rows],
+                               out=_head(dpre_buf, (m, rows.stop - rows.start, dim)))
+            deep = _head(deep_buf, (m, b - a, dim))
+            pad = depthwise(pad_buf, s0, s1, a, b, deep)
+            inner = dpre[:, a - rows.start : b - rows.start]
+            dmix += inner.reshape(-1, dim).T @ deep.reshape(-1, dim)
+            np.matmul(dpre, mix, out=dd[:, inside])
+            dk += np.einsum("mrd,mrkd->kd", dd[:, right : right + b - a], _windows(pad, ksize))
+            np.einsum("mrkd,kd->mrd", _windows(dd, ksize), taps[::-1], out=dx[s0:s1, a:b])
+        _accum(z, dx.reshape(z.shape))
+        _accum(dw_k, dk.T.reshape(dw_k.shape))
         _accum(pw_k, dmix.reshape(pw_k.shape))
 
     return _node(out.reshape(z.shape), (z, dw_k, pw_k), backprop)
+
+
+def _windows(pad: Array, ksize: int) -> Array:
+    """Read-only [m, rows - K + 1, K, D] view of ``pad`` [m, rows, D]:
+    window [.., i, j, :] is row i + j."""
+    m, rows, dim = pad.shape
+    return as_strided(pad, (m, rows - ksize + 1, ksize, dim),
+                      pad.strides[:2] + pad.strides[1:], writeable=False)
+
+
+def _head(buf: Array, shape) -> Array:
+    """The first ``prod(shape)`` values of the flat ``buf``, as ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 # ---------------------------------------------------------------------------

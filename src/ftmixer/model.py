@@ -11,10 +11,9 @@ Data flow for one instance (N channels, lookback L, horizon tau):
    inverse transform, residual add of the raw patch, embedding w -> D_p;
    scales are concatenated along the patch axis
 4. the local branch is mixed by a depthwise (per-feature, along the
-   patch axis, over all channels joined end to end) plus pointwise
-   convolution and a SiLU, one ``diffarray.separable_conv`` node that
-   runs in cache-sized row blocks, then projected per channel to D_f so
-   both branches can be summed
+   patch axis of all channels joined end to end) plus pointwise conv and
+   a SiLU, one ``diffarray.separable_conv`` node, then projected per
+   channel to D_f so both branches can be summed
 5. a shared linear head maps D_f -> tau per channel, and the instance
    statistics from step 1 are restored
 
@@ -456,13 +455,11 @@ def ds_conv(z, params: FtMixerParams, config: ModelConfig, *,
             head: bool = False) -> DiffArray:
     """Separable-convolution mixer: [..., N, n_tot, D_p] -> [..., N, D_f].
 
-    The N channels' patches are joined end to end, one sequence of
-    ``N * n_tot`` rows per window, and :func:`diffarray.separable_conv`
-    runs the depthwise conv (``ds_dw_k``, along that sequence), the
-    pointwise conv (``ds_pw_k``) and the SiLU on it in place, with no
-    copy of the layout.  A learned per-channel projection of the
-    flattened patch features then aligns the output with the global
-    branch.
+    :func:`diffarray.separable_conv` runs the depthwise conv (``ds_dw_k``,
+    along the N channels' patches joined end to end, ``N * n_tot`` rows
+    per window), the pointwise conv (``ds_pw_k``) and the SiLU; a learned
+    per-channel projection of the flattened patch features then aligns
+    the output with the global branch.
 
     With ``head`` the branch's share of the prediction head (``pred_w``,
     not its bias) is folded into the projection, giving [..., N, tau]:
@@ -470,7 +467,7 @@ def ds_conv(z, params: FtMixerParams, config: ModelConfig, *,
     """
     z = da._lift(z)
     n_tot, dp = config.total_patches, config.patch_embed_dim
-    if z.values.ndim < 3 or z.shape[-3:] != (config.channels, n_tot, dp):
+    if z.shape[-3:] != (config.channels, n_tot, dp):
         raise DimensionError(
             f"ds_conv: expected [..., {config.channels}, {n_tot}, {dp}], got {z.shape}"
         )

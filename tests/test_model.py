@@ -309,8 +309,9 @@ def test_separable_conv_matches_composition(case):
 
 
 def test_ds_conv_holds_less_memory_than_the_composition():
-    # a train_wide shard: 4 windows of N=321, L=96, 7.5 MB of local patches
-    config = ModelConfig(lookback=96, horizon=96, channels=321, seed=0)
+    # a train_wide shard: 4 windows of N=321, L=96, 7.5 MiB of local patches
+    config = ModelConfig(lookback=96, horizon=96, channels=321,
+                         patch_scales=default_patch_scales(96), seed=0)
     params = FtMixerParams.initialize(config)
     rng = np.random.default_rng(41)
     z_values = rng.standard_normal((4, 321, config.total_patches, config.patch_embed_dim))
