@@ -214,7 +214,7 @@ def test_separable_conv_gradients(ksize):
     ((6, 8), (8, 1, 3), (8, 8, 1), 4),  # 6 rows are no whole number of sequences
     ((6, 8), (8, 1, 3), (8, 8, 1), 0),
 ], ids=["grouped_kernels", "pointwise_kernels_as_depthwise", "pointwise_without_kernel_axis",
-        "no_row_axis", "rows_not_whole_sequences", "empty_sequences"])
+        "no_row_axis", "rows_not_whole_sequences", "zero_length_sequences"])
 def test_separable_conv_rejects_shapes_it_cannot_apply(z_shape, dw_shape, pw_shape, segment):
     with pytest.raises(DimensionError):
         da.separable_conv(np.zeros(z_shape), np.zeros(dw_shape), np.zeros(pw_shape), segment)

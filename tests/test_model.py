@@ -270,15 +270,16 @@ def relative_error(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-# (config, batch shape): the paper's FULL shape (147-row sequences, three to
-# a block), even taps, one tap, sequences longer than a block (40 * 21 = 840
-# rows: a block and a 328-row rest), and unbatched input
+# (config, batch shape): the paper's FULL shape (147-row sequences, several
+# to a block, the last block shorter), even taps, one tap, sequences a few
+# rows longer than a block, and unbatched input
 SEPARABLE_CASES = {
-    "full": (FULL, (2,)),
+    "full": (FULL, (8,)),
     "tiny": (TINY, (3,)),
     "even_k4": (EVEN, (2,)),
     "k1": (replace(TINY, ds_dw_kernel_size=1), (2,)),
-    "longer_than_block": (replace(FULL, channels=40), (2,)),
+    "longer_than_block": (
+        replace(FULL, channels=da.SEPARABLE_BLOCK_ROWS // FULL.total_patches + 1), (2,)),
     "unbatched": (TINY, ()),
 }
 
