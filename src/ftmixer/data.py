@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,7 +74,7 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
     channel names, ragged rows, non-numeric cells, and non-finite values,
     reporting the offending line number.  A leading UTF-8 byte order mark
     is skipped.  Plain files take :func:`_parse_plain`; every other file
-    goes through the row reader :func:`_parse_rows`.
+    is read again, as a stream, by the row reader :func:`_parse_rows`.
     """
     try:
         with open(path, "rb") as f:
@@ -90,7 +89,14 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
     del raw
     parsed = _parse_plain(text)
     if parsed is None:
-        parsed = _parse_rows(m.group() for m in _LINE.finditer(text))
+        del text  # the row reader streams the file instead
+        try:
+            with open(path, encoding="utf-8-sig", newline="") as f:
+                parsed = _parse_rows(f)
+        except OSError as exc:  # the file changed since the first read
+            raise DataError(f"cannot open dataset {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}") from None
     channel_names, timestamps, values = parsed
     if name is None:
         name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -100,10 +106,6 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
         timestamps=tuple(timestamps),
         channel_names=channel_names,
     )
-
-
-# one line as open(newline="") yields it: ended by \r\n, \r or \n, end kept
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 def _channel_names(header: list[str]) -> tuple[str, ...]:
@@ -166,7 +168,8 @@ def _parse_plain(text: str):
 
 
 def _parse_rows(lines):
-    """Names, timestamps and [N, T] values, read row by row.
+    """Names, timestamps and [N, T] values, read row by row from ``lines``,
+    the file opened with ``newline=""``.
 
     The reference reader: ``csv.reader`` splits each row (quoted cells,
     any line end) and ``float()`` parses each cell, so it also takes

@@ -642,14 +642,22 @@ def clip_global_norm(grads: Sequence[Array], max_norm: float) -> float:
     """Scale grads in place so their joint L2 norm is at most max_norm.
 
     ``max_norm`` must be positive: a negative one would flip every
-    gradient's sign and zero would erase them.
+    gradient's sign and zero would erase them.  Finite gradients whose
+    squares overflow are measured again scaled by their largest magnitude,
+    so the norm stays finite; a non-finite gradient gives a non-finite
+    norm.
     """
     if not max_norm > 0:
         raise ContractError(f"clip_global_norm: max_norm must be > 0, got {max_norm}")
     total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+    with np.errstate(over="ignore"):
+        for g in grads:
+            total += float(np.sum(g * g))
+    scale = 1.0
+    if not np.isfinite(total) and all(np.isfinite(g).all() for g in grads):
+        scale = max(float(np.max(np.abs(g), initial=0.0)) for g in grads)
+        total = sum(float(np.sum((g / scale) ** 2)) for g in grads)
+    norm = scale * float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         for g in grads:

@@ -255,8 +255,7 @@ class FtMixerParams:
         Its leaves keep their own ``grad``, so threads that each run a
         forward and backward on their own replica do not share gradients,
         while an in-place optimizer step on this set shows in every
-        replica.  :meth:`load_values` rebinds the values, which a replica
-        does not follow.
+        replica.
         """
         entries = {name: da.parameter(self._entries[name].values) for name in self._order}
         return FtMixerParams(self.config, entries)

@@ -126,7 +126,17 @@ class RunReport:
 
 def _workers() -> int:
     """The worker count ``W`` of :func:`evaluate` and :func:`train`: the
-    cores the BLAS threads leave free."""
+    cores the BLAS threads leave free, ``max(1, cpus // blas_threads)``.
+
+    ``cpus`` is the number of CPUs this process may run on
+    (``os.sched_getaffinity``, else ``os.cpu_count()``).  ``blas_threads``
+    is the first positive integer among ``OPENBLAS_NUM_THREADS``,
+    ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``; when none is set it is
+    ``cpus``, the OpenBLAS and MKL default.  So an environment that leaves
+    BLAS threading alone runs serially: its BLAS threads already fill the
+    cores, and workers on top only oversubscribe them (measured slower on
+    2 cores).
+    """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -155,20 +165,30 @@ def _window_bytes(model_config: ModelConfig) -> int:
     return 8 * model_config.channels * widest
 
 
-def _fan_out(pool: ThreadPoolExecutor, helpers: int, work, *args) -> None:
-    """``work(*args)`` on the calling thread and on ``helpers`` threads of
-    ``pool`` at once; the runs share their work through ``args``.
+def _map(pool: ThreadPoolExecutor, workers: int, count: int, work) -> list:
+    """``[work(0), ..., work(count - 1)]``, run on the calling thread and on
+    ``min(workers, count) - 1`` helper threads of ``pool``, which take the
+    indices from one shared iterator; numpy releases the GIL inside BLAS
+    calls and ufunc loops, so the runs overlap.
 
     Returns when every run has ended.  An error in any run is raised as
     itself once they all have, the caller's before a helper's.
     """
-    running = [pool.submit(work, *args) for _ in range(helpers)]
+    results: list = [None] * count
+    pending = iter(range(count))
+
+    def drain():
+        for i in pending:
+            results[i] = work(i)
+
+    running = [pool.submit(drain) for _ in range(min(workers, count) - 1)]
     try:
-        work(*args)
+        drain()
     finally:
         wait(running)
     for future in running:
         future.result()
+    return results
 
 
 def evaluate(
@@ -187,30 +207,14 @@ def evaluate(
     changes the values its folds were built from.
 
     ``batch_size`` windows are gathered at a time, and each batch is
-    forwarded in consecutive row blocks of
-    ``max(1, EVAL_BLOCK_BUDGET // (8 * N * max(L, n_tot * D_p, D_f)))``
-    windows, so that the widest activation of a block (float64, per
-    window ``N`` rows of the widest of the input, the joined local
-    patches and the global embedding) stays in cache: 13 windows at the
-    paper shape, where 1 MiB tied for fastest in the sweep given at
-    ``EVAL_BLOCK_BUDGET``.  Errors are summed per batch.
-
-    The blocks of a batch run on ``W`` workers, the calling thread and
-    ``W - 1`` helper threads (no thread when ``W = 1``), which take block
-    starts from one shared iterator; numpy releases the GIL inside BLAS
-    calls and ufunc loops, so the workers overlap.  ``W = max(1, cpus //
-    blas_threads)``.  ``cpus`` is the number of CPUs this process may run
-    on (``os.sched_getaffinity``, else ``os.cpu_count()``).
-    ``blas_threads`` is the first positive integer among
-    ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``;
-    when none is set it is ``cpus``, the OpenBLAS and MKL default.  So an
-    environment that leaves BLAS threading alone runs serially: its BLAS
-    threads already fill the cores, and workers on top only oversubscribe
-    them (measured slower on 2 cores).  Each block writes only its own
-    rows of the batch's prediction, and the errors are summed once every
-    block is done, so the metrics are bit-identical for any ``W``.  An
-    error in any block is raised as itself after every worker has
-    stopped.
+    forwarded in consecutive row blocks of ``max(1, EVAL_BLOCK_BUDGET //
+    _window_bytes(model_config))`` windows, so that a block's widest
+    activation stays in cache: 13 windows at the paper shape, where 1 MiB
+    tied for fastest in the sweep given at ``EVAL_BLOCK_BUDGET``.  The
+    blocks run through :func:`_map` on :func:`_workers` workers; each
+    writes only its own rows of the batch's prediction, and the errors
+    are summed per batch once every block is done, so the metrics are
+    bit-identical for any worker count.
     """
     if model_config.channels != dataset.channels:
         raise ConfigError(
@@ -220,25 +224,24 @@ def evaluate(
     starts = window_samples(dataset, split, model_config.lookback, model_config.horizon)
     frozen = params.frozen()
     rows = max(1, EVAL_BLOCK_BUDGET // _window_bytes(model_config))
-    helpers = _workers() - 1
-
-    def drain(inputs, pred, blocks):
-        """Forward row blocks into ``pred`` until ``blocks`` runs out."""
-        for lo in blocks:
-            pred[lo : lo + rows] = ftmixer_forward(
-                inputs[lo : lo + rows], frozen, model_config, ablation=ablation
-            ).values
-
+    workers = _workers()
     sq_sum = 0.0
     abs_sum = 0.0
     elems = 0
     # a pool starts its threads on first submit, so W = 1 starts none
-    with ThreadPoolExecutor(max(1, helpers)) as pool:
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         for batch in iter_batches(
             dataset, starts, model_config.lookback, model_config.horizon, batch_size
         ):
             pred = np.empty(batch.targets.shape)
-            _fan_out(pool, helpers, drain, batch.inputs, pred, iter(range(0, len(pred), rows)))
+
+            def block(k):
+                lo = k * rows
+                pred[lo : lo + rows] = ftmixer_forward(
+                    batch.inputs[lo : lo + rows], frozen, model_config, ablation=ablation
+                ).values
+
+            _map(pool, workers, -(-len(pred) // rows), block)
             diff = pred - batch.targets
             sq_sum += float(np.sum(diff * diff))
             abs_sum += float(np.sum(np.abs(diff)))
@@ -258,61 +261,54 @@ def _shard_step(params: FtMixerParams, inputs, targets, model_config: ModelConfi
     """Forward, loss and backward of one shard on its own tracked ``params``.
 
     Returns ``((time_loss, freq_loss, total), grads)``: the leaf gradient
-    of every parameter (zeros for one the objective does not reach), or
-    ``None`` without a backward when the loss is not finite.  Only floats
-    and gradients leave, so the graph dies in the thread that built it.
+    of every parameter (zeros for one the objective does not reach).  A
+    loss that is not finite raises :class:`NumericError` before any
+    backward.  Only floats and gradients leave, so the graph dies in the
+    thread that built it.
     """
     prediction = ftmixer_forward(inputs, params, model_config, ablation=ablation)
     loss = loss_metrics.dual_domain_loss(targets, prediction)
-    losses = (loss.time_loss, loss.freq_loss, loss.total)
     if not np.isfinite(loss.total):
-        return losses, None
+        raise NumericError("non-finite loss")
     if ablation == "no_freq_loss":
         objective = loss.time_node
     elif ablation == "no_time_loss":
         objective = loss.freq_node
     else:
         objective = loss.total_node
-    da.zero_grads(params.all())
     da.backward(objective)
-    return losses, [
+    return (loss.time_loss, loss.freq_loss, loss.total), [
         p.grad if p.grad is not None else np.zeros_like(p.values) for p in params.all()
     ]
 
 
-def _batch_step(pool: ThreadPoolExecutor, replicas: list[FtMixerParams], batch,
+def _batch_step(pool: ThreadPoolExecutor, workers: int, params: FtMixerParams, batch,
                 model_config: ModelConfig, ablation: str):
     """Loss components and gradients of one training batch, run as shards.
 
     The ``n`` windows are split into ``S`` contiguous shards of ``n_i``
-    windows (the rule is in :func:`train`), and shard ``i`` runs
-    :func:`_shard_step` on ``replicas[i]``; the caller and ``S - 1``
-    helpers of ``pool`` take shards from one shared iterator.  Returns
+    windows (the rule is in :func:`train`), and :func:`_map` runs shard
+    ``i`` as :func:`_shard_step` on a fresh :meth:`~FtMixerParams.replica`
+    of ``params``, so ``params`` itself never holds a gradient.  Returns
     ``((time_loss, freq_loss, total), grads)``, each the sum over the
-    shards, in shard order, of ``n_i / n`` times the shard's own;
-    ``grads`` is ``None`` when a shard's loss is not finite.  With
+    shards, in shard order, of ``n_i / n`` times the shard's own.  With
     ``S = 1`` they are the shard's own, untouched.
     """
     n = batch.inputs.shape[0]
     fits = n * _window_bytes(model_config) // TRAIN_SHARD_MIN_BYTES
-    count = max(1, min(len(replicas), n, fits))
+    count = max(1, min(workers, n, fits))
     bounds = [i * n // count for i in range(count + 1)]
-    shards: list = [None] * count
 
-    def run(pending):
-        for i in pending:
-            lo, hi = bounds[i], bounds[i + 1]
-            shards[i] = _shard_step(
-                replicas[i], batch.inputs[lo:hi], batch.targets[lo:hi], model_config, ablation
-            )
+    def shard(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        return _shard_step(params.replica(), batch.inputs[lo:hi], batch.targets[lo:hi],
+                           model_config, ablation)
 
-    _fan_out(pool, count - 1, run, iter(range(count)))
+    shards = _map(pool, workers, count, shard)
     weights = [(hi - lo) / n for lo, hi in zip(bounds, bounds[1:])]
     losses = tuple(
         sum(weight * shard[0][k] for weight, shard in zip(weights, shards)) for k in range(3)
     )
-    if any(grads is None for _, grads in shards):
-        return losses, None
     grads = shards[0][1]
     if count > 1:
         for g in grads:
@@ -334,24 +330,22 @@ def train(
 
     Keeps the parameters of the epoch with the best validation MSE (saved
     to ``checkpoint_path`` on every improvement when given) and reports
-    test metrics from that checkpoint.  A non-finite loss aborts with
-    :class:`NumericError`; the last good checkpoint stays on disk.
+    test metrics from that checkpoint.  A non-finite loss or gradient
+    aborts with a :class:`NumericError` that names the epoch and sample
+    offset; the last good checkpoint stays on disk.
 
-    Each batch of ``n`` windows runs as ``S`` contiguous shards, ``S =
-    max(1, min(W, n, n * bytes // TRAIN_SHARD_MIN_BYTES))``: ``W`` is
-    :func:`evaluate`'s worker count (the cores the BLAS threads leave
-    free) and ``bytes`` the widest activation per window, so a shard
-    holds at least 512 KiB of it (a smaller one runs slower on a thread
-    than in series).  Shard ``i`` runs forward, loss and backward on the
-    ``i``-th of ``W`` tracked :meth:`~FtMixerParams.replica` sets (the
-    first is the trained set itself), on the calling thread or on one of
-    ``W - 1`` helper threads (none when ``W = 1``).  No op in the model
-    couples the windows of a batch, so the batch's gradient is ``sum_i
-    (n_i / n) * g_i``, summed in shard order before clipping and Adam,
-    and the epoch's loss records are weighted the same way.  ``S = 1``
-    runs the whole batch as a serial loop would, bit for bit.  A run is
-    deterministic for its ``W``; a run with another ``W`` agrees with it
-    up to rounding, since the shards sum over their windows apart.
+    Each batch of ``n`` windows runs as ``S = max(1, min(W, n, n * bytes
+    // TRAIN_SHARD_MIN_BYTES))`` contiguous shards through
+    :func:`_batch_step`: ``W`` is :func:`_workers` and ``bytes`` is
+    :func:`_window_bytes`, so a shard holds at least 512 KiB of its widest
+    activation (a smaller one runs slower on a thread than in series).  No
+    op in the model couples the windows of a batch, so the batch's
+    gradient is ``sum_i (n_i / n) * g_i``, summed in shard order before
+    clipping and Adam, and the epoch's loss records are weighted the same
+    way.  ``S = 1`` runs the whole batch as a serial loop would, bit for
+    bit.  A run is deterministic for its ``W``; a run with another ``W``
+    agrees with it up to rounding, since the shards sum over their windows
+    apart.
     """
     if model_config.channels != dataset.channels:
         raise ConfigError(
@@ -363,7 +357,6 @@ def train(
     train_starts = window_samples(dataset, "train", lookback, horizon)
     params = FtMixerParams.initialize(model_config)
     workers = _workers()
-    replicas = [params] + [params.replica() for _ in range(workers - 1)]
     adam = da.AdamState(learning_rate=train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     report = RunReport(
@@ -386,19 +379,14 @@ def train(
                 dataset, order, lookback, horizon, train_config.batch_size
             ):
                 try:
-                    losses, grads = _batch_step(pool, replicas, batch, model_config, ablation)
+                    losses, grads = _batch_step(pool, workers, params, batch, model_config, ablation)
+                    grad_norms.append(da.clip_global_norm(grads, train_config.clip_norm))
+                    da.adam_step(params.all(), grads, adam)
                 except NumericError as exc:
                     raise NumericError(
                         f"numeric failure at epoch {epoch}, sample offset {seen}: {exc}; "
                         f"aborting (best checkpoint is from epoch {report.best_epoch})"
                     ) from None
-                if grads is None:
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, sample offset {seen}; "
-                        f"aborting (best checkpoint is from epoch {report.best_epoch})"
-                    )
-                grad_norms.append(da.clip_global_norm(grads, train_config.clip_norm))
-                da.adam_step(params.all(), grads, adam)
                 n = batch.inputs.shape[0]
                 time_sum += losses[0] * n
                 freq_sum += losses[1] * n

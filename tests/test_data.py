@@ -120,6 +120,27 @@ def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
     assert exc.value.line == 3
 
 
+def test_load_csv_maps_errors_of_the_row_readers_second_read(tmp_path, monkeypatch):
+    path = tmp_path / "quoted.csv"
+    path.write_text('date,a\n"t0",1\n', encoding="utf-8")
+    parse_plain = data_mod._parse_plain
+
+    def then(change):
+        def parse(text):
+            change()  # the file changes between the two reads
+            return parse_plain(text)
+        return parse
+
+    not_utf8 = then(lambda: path.write_bytes(b"date,a\nt0,\xff\n"))
+    monkeypatch.setattr(data_mod, "_parse_plain", not_utf8)
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(path)
+    monkeypatch.setattr(data_mod, "_parse_plain", then(path.unlink))
+    path.write_text('date,a\n"t0",1\n', encoding="utf-8")
+    with pytest.raises(DataError, match="cannot open"):
+        load_csv(path)
+
+
 def test_load_csv_cell_over_csv_field_limit_is_parse_error(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("date,a\nt0,1\n" + "t" * 200_000 + ",2\n", encoding="utf-8")

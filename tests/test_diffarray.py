@@ -513,6 +513,16 @@ def test_clip_global_norm():
     assert abs(total - 1.0) < 1e-12
 
 
+def test_clip_global_norm_measures_finite_gradients_whose_squares_overflow():
+    grads = [np.array([1e200, 1.0])]
+    assert da.clip_global_norm(grads, 5.0) == 1e200
+    assert grads[0].tolist() == [5.0, 5e-200]
+    # a non-finite gradient gives a non-finite norm and is left as it is
+    grads = [np.array([1e200, 1.0]), np.array([np.nan])]
+    assert np.isnan(da.clip_global_norm(grads, 5.0))
+    assert grads[0].tolist() == [1e200, 1.0] and np.isnan(grads[1][0])
+
+
 # ---------------------------------------------------------------------------
 # container round trip
 

@@ -510,3 +510,24 @@ def test_train_trims_the_heap_once_its_helper_threads_are_gone(monkeypatch):
     # a C library without malloc_trim trains the same
     monkeypatch.setattr(train_mod, "_MALLOC_TRIM", None)
     assert train(config, tc, prepared)[0].epochs == report.epochs
+
+
+@pytest.mark.parametrize("step", ["clip_global_norm", "adam_step"])
+def test_train_names_epoch_and_offset_of_an_optimizer_abort(monkeypatch, step):
+    prepared, config = small_problem()
+
+    def fail(*args, **kwargs):
+        raise NumericError("x")
+
+    monkeypatch.setattr(da, step, fail)
+    with pytest.raises(NumericError, match=r"epoch 0, sample offset 0: x;"):
+        train(config, TrainConfig(epochs=1, batch_size=32, seed=0), prepared)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_leaves_no_gradient_on_the_trained_set(monkeypatch, workers):
+    prepared, config = small_problem(channels=2)
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(train_mod, "_workers", lambda: workers)
+    _, params = train(config, TrainConfig(epochs=1, batch_size=32, seed=0), prepared)
+    assert all(p.grad is None for p in params.all())
