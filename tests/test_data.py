@@ -135,8 +135,8 @@ def test_load_csv_maps_errors_of_the_row_readers_second_read(tmp_path, monkeypat
     monkeypatch.setattr(data_mod, "_parse_plain", not_utf8)
     with pytest.raises(ParseError, match="not UTF-8"):
         load_csv(path)
-    monkeypatch.setattr(data_mod, "_parse_plain", then(path.unlink))
     path.write_text('date,a\n"t0",1\n', encoding="utf-8")
+    monkeypatch.setattr(data_mod, "_parse_plain", then(path.unlink))
     with pytest.raises(DataError, match="cannot open"):
         load_csv(path)
 
