@@ -25,6 +25,15 @@ Conventions:
 - a matmul whose right operand is 2-D runs as one GEMM over the left
   operand's flattened leading dims, forward and backward; so does
   :func:`affine`, which adds its bias into the product in place
+- no op writes into an operand's values, in its forward or its
+  backward: an op writes only into arrays it allocated.  Leaf values
+  change only between graphs, by an optimizer step such as
+  :func:`adam_step`
+- :func:`concat` re-homes its tracked interior parts: each one's
+  ``values`` becomes a view of its slice of the output, so the tape
+  holds that data once.  By the convention above, a closure that later
+  reads a part's values sees the same numbers, through the view or
+  through the array it kept
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -426,20 +436,29 @@ def swapaxes(x, a: int, b: int) -> DiffArray:
 
 
 def concat(parts: Sequence, axis: int = -1) -> DiffArray:
+    """The parts joined along ``axis``.
+
+    Each tracked interior part (one with a backward closure) then holds
+    a view of its slice of the output in place of its own array, so the
+    tape keeps the joined data once; leaves and untracked parts keep
+    their arrays.  Values and gradients are unchanged: the backward
+    reads no part's values, and no op writes into an operand's values.
+    """
     parts = [_lift(p) for p in parts]
     if not parts:
         raise ContractError("concat: need at least one array")
     out = np.concatenate([p.values for p in parts], axis=axis)
     ax = axis % out.ndim
-    sizes = [p.shape[ax] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    bounds = np.cumsum([0] + [p.shape[ax] for p in parts]).tolist()
+    slices = [(slice(None),) * ax + (slice(s0, s1),) for s0, s1 in zip(bounds, bounds[1:])]
+    for p, sl in zip(parts, slices):
+        if p._backprop is not None:
+            p.values = out[sl]
 
     def backprop(g):
-        for p, s0, s1 in zip(parts, offsets[:-1], offsets[1:]):
+        for p, sl in zip(parts, slices):
             if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[ax] = slice(int(s0), int(s1))
-                _accum(p, g[tuple(sl)])
+                _accum(p, g[sl])
 
     return _node(out, tuple(parts), backprop)
 
@@ -669,7 +688,7 @@ def clip_global_norm(grads: Sequence[Array], max_norm: float) -> float:
 # named-array container (checkpoints)
 
 _MAGIC = b"FTMX"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 
 def save_arrays(path, arrays: dict[str, Array], metadata: dict | None = None) -> None:
@@ -677,27 +696,38 @@ def save_arrays(path, arrays: dict[str, Array], metadata: dict | None = None) ->
 
     Binary layout: magic, u32 version, u32 metadata length + UTF-8 JSON,
     u32 entry count, then per entry: u16 name length + name, u8 ndim,
-    u32 dims, little-endian float64 payload.  Round trips bit-exactly.
+    u32 dims, little-endian float64 payload; version 2 ends with a u32
+    ``zlib.crc32`` of every byte before it.  Round trips bit-exactly.
+    State beyond the parameters (optimizer moments, RNG state) fits as
+    more entries and metadata, without a new version.
 
     The file is written through :func:`_atomic_file`, so ``path`` is never
     half-written.
     """
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
+    crc = 0
     with _atomic_file(path) as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", CONTAINER_VERSION))
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        f.write(struct.pack("<I", len(arrays)))
+
+        def write(data: bytes) -> None:
+            nonlocal crc
+            crc = zlib.crc32(data, crc)
+            f.write(data)
+
+        write(_MAGIC)
+        write(struct.pack("<I", CONTAINER_VERSION))
+        write(struct.pack("<I", len(meta)))
+        write(meta)
+        write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            a = np.ascontiguousarray(arr, dtype="<f8")
+            a = np.asarray(arr, dtype="<f8")  # ascontiguousarray would make a 0-d array 1-d
             nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", a.ndim))
+            write(struct.pack("<H", len(nb)))
+            write(nb)
+            write(struct.pack("<B", a.ndim))
             if a.ndim:
-                f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.tobytes())
+                write(struct.pack(f"<{a.ndim}I", *a.shape))
+            write(a.tobytes())
+        f.write(struct.pack("<I", crc))
 
 
 @contextmanager
@@ -727,8 +757,10 @@ def _atomic_file(path, text: bool = False):
 def load_arrays(path) -> tuple[dict[str, Array], dict]:
     """Inverse of :func:`save_arrays`.
 
-    An unreadable, truncated or malformed file, or one with bytes after
-    its last entry, raises :class:`DataError`.
+    An unreadable, truncated or malformed file, one with bytes after its
+    last entry, or a version-2 file whose checksum does not match, raises
+    :class:`DataError`.  Version-1 files, which carry no checksum, still
+    load.
     """
     try:
         with open(path, "rb") as f:
@@ -737,11 +769,11 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     if raw[:4] != _MAGIC:
         raise DataError(f"{path}: not a ftmixer checkpoint (bad magic)")
-    off = 4
+    off, end = 4, len(raw)
 
     def take(n: int) -> bytes:
         nonlocal off
-        if n > len(raw) - off:
+        if n > end - off:
             raise DataError(
                 f"{path}: truncated checkpoint ({n} bytes needed at offset {off}, "
                 f"file has {len(raw)})"
@@ -753,8 +785,12 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
     (version,) = unpack("<I")
-    if version != CONTAINER_VERSION:
+    if version not in (1, CONTAINER_VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
+    if version == 2:
+        end -= 4
+        if end < off or raw[end:] != struct.pack("<I", zlib.crc32(memoryview(raw)[:end])):
+            raise DataError(f"{path}: checkpoint checksum mismatch (corrupt or cut file)")
     (meta_len,) = unpack("<I")
     try:
         metadata = json.loads(take(meta_len))
@@ -775,6 +811,6 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
         payload = take(8 * math.prod(shape))
         # own, writeable copy
         arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    if off != len(raw):
-        raise DataError(f"{path}: {len(raw) - off} unexpected bytes after the last entry")
+    if off != end:
+        raise DataError(f"{path}: {end - off} unexpected bytes after the last entry")
     return arrays, metadata

@@ -1,9 +1,11 @@
-"""Shared test utilities: finite-difference gradients, synthetic data, and
-the op-by-op composition that ``diffarray.separable_conv`` replaces."""
+"""Shared test utilities: finite-difference gradients, synthetic data, a
+traced-memory probe, and the op-by-op composition that
+``diffarray.separable_conv`` replaces."""
 
 from __future__ import annotations
 
 import string
+import tracemalloc
 
 import numpy as np
 
@@ -88,6 +90,25 @@ def sinusoid_dataset(steps: int = 2000, period: float = 24.0, amplitude: float =
     rows = [amplitude * np.sin(2.0 * np.pi * (t / period + c / max(channels, 1)))
             for c in range(channels)]
     return data_mod.from_values(np.stack(rows), name=name)
+
+
+def traced_growth(build, run) -> int:
+    """Traced bytes that ``run(build())`` holds past what ``build()`` left.
+
+    Tracing starts before ``build`` makes the inputs: tracemalloc counts
+    the free of a block only if it saw the block allocated, so a ``run``
+    that frees arrays of its inputs would otherwise look as if it kept
+    them.  Both ``build``'s and ``run``'s results stay alive until the
+    figure is read.
+    """
+    tracemalloc.start()
+    try:
+        inputs = build()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run(inputs)  # held while the figure is read
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

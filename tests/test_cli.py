@@ -162,6 +162,23 @@ def test_eval_on_cut_checkpoint_exits_2(series_csv, tmp_path, capsys):
         assert "ftmixer: error: data:" in capsys.readouterr().err
 
 
+def test_eval_on_checkpoint_with_a_flipped_bit_exits_2(series_csv, tmp_path, capsys):
+    path = tmp_path / "checkpoint.ftm"
+    config = ModelConfig(lookback=48, horizon=12, channels=2, patch_scales=(12, 24))
+    save_checkpoint(path, FtMixerParams.initialize(config))
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x10  # inside a parameter's payload
+    path.write_bytes(bytes(raw))
+    code = main([
+        "eval",
+        "--data", str(series_csv),
+        "--output", str(tmp_path / "run"),
+        "--checkpoint", str(path),
+    ])
+    assert code == 2
+    _single_error_line(capsys.readouterr().err, "data")
+
+
 def test_predict_row_count(series_csv, tmp_path):
     out = tmp_path / "run"
     assert main(train_args(series_csv, out)) == 0

@@ -1,6 +1,8 @@
 """Array engine: elementwise ops, matmul, the separable conv, backward, Adam."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +11,15 @@ from ftmixer import diffarray as da
 from ftmixer.diffarray import AdamState, DiffArray, adam_step, backward
 from ftmixer.errors import ContractError, DataError, DimensionError, NumericError
 
-from helpers import assert_grads_match, central_diff_grads, conv1d, max_rel_err, silu, tracked
+from helpers import (
+    assert_grads_match,
+    central_diff_grads,
+    conv1d,
+    max_rel_err,
+    silu,
+    traced_growth,
+    tracked,
+)
 
 
 def test_add_elementwise():
@@ -346,6 +356,49 @@ def test_concat_and_swapaxes_gradients():
     assert_grads_match(loss_fn, [a, b], tol=1e-6)
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_rehomes_tracked_interior_parts_into_its_output(axis):
+    rng = np.random.default_rng(21)
+    shapes = []
+    for n in (2, 3):
+        shape = [2, 3, 4]
+        shape[axis] = n
+        shapes.append(tuple(shape))
+    leaves = [tracked(rng.standard_normal(shape)) for shape in shapes]
+    parts = [da.mul(leaf, 2.0) for leaf in leaves]
+    before = [p.values.copy() for p in parts]
+    joined = da.concat(parts, axis=axis)
+    for p, want in zip(parts, before):
+        assert np.shares_memory(p.values, joined.values)
+        assert np.array_equal(p.values, want)
+    weights = rng.standard_normal(joined.shape)
+    backward(da.reduce_sum(da.mul(joined, weights)))
+    split = np.split(weights, [shapes[0][axis]], axis=axis)
+    for leaf, w in zip(leaves, split):
+        assert np.array_equal(leaf.grad, 2.0 * w)
+
+
+def test_concat_leaves_leaf_and_untracked_parts_their_arrays():
+    leaf = tracked(np.ones((2, 3)))
+    untracked = da.mul(DiffArray(np.ones((2, 2))), 2.0)
+    interior = da.mul(leaf, 3.0)
+    arrays = (leaf.values, untracked.values)
+    joined = da.concat([leaf, untracked, interior], axis=-1)
+    assert leaf.values is arrays[0] and untracked.values is arrays[1]
+    assert np.shares_memory(interior.values, joined.values)
+
+
+def test_concat_of_tracked_parts_holds_their_data_once():
+    rng = np.random.default_rng(22)
+
+    def build():
+        return [da.mul(tracked(rng.standard_normal((4, 80, 64))), 2.0) for _ in range(2)]
+
+    held = traced_growth(build, lambda parts: da.concat(parts, axis=-2))
+    out_bytes = 4 * 160 * 64 * 8
+    assert held < out_bytes // 2, (held, out_bytes)
+
+
 def test_leaf_gradients_are_owned_and_clipped_once():
     rng = np.random.default_rng(13)
     p, p1, p2 = (tracked(rng.standard_normal((3, 4))) for _ in range(3))
@@ -563,6 +616,31 @@ def test_container_malformed_metadata_or_name_raises_data_error(tmp_path, meta, 
     path.write_bytes(raw)
     with pytest.raises(DataError):
         da.load_arrays(path)
+
+
+def test_container_writes_v1_layout_plus_crc_and_loads_v1(tmp_path):
+    arrays = {"w": np.arange(6.0).reshape(2, 3) / 7.0, "s": np.array(-2.5)}
+    meta = {"epoch": 3, "note": "unit"}
+
+    def layout(version: int) -> bytes:
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        raw = b"FTMX" + struct.pack("<II", version, len(blob)) + blob
+        raw += struct.pack("<I", len(arrays))
+        for name, a in arrays.items():
+            raw += struct.pack("<H", len(name)) + name.encode("utf-8")
+            raw += struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape) + a.astype("<f8").tobytes()
+        return raw
+
+    old = tmp_path / "v1.ftm"
+    old.write_bytes(layout(1))
+    loaded, loaded_meta = da.load_arrays(old)
+    assert loaded_meta == meta
+    assert {n: a.tobytes() for n, a in loaded.items()} == {
+        n: a.tobytes() for n, a in arrays.items()}
+    new = tmp_path / "v2.ftm"
+    da.save_arrays(new, arrays, meta)
+    body = layout(2)
+    assert new.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_failed_save_keeps_previous_file_and_no_temp(tmp_path):

@@ -578,6 +578,39 @@ def test_tracked_forward_requests_no_head_fold(monkeypatch):
     assert built and not [k for k in built if "head" in k]
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["tracked", "frozen"])
+def test_forward_concat_holds_the_local_branch_once(monkeypatch, frozen):
+    params = FtMixerParams.initialize(EVEN)
+    x = np.random.default_rng(44).standard_normal((3, EVEN.channels, EVEN.lookback))
+    concat = da.concat
+    joined = []
+
+    def spy(parts, axis=-1):
+        joined.append((parts, concat(parts, axis)))
+        return joined[-1][1]
+
+    def keeping_parts(parts, axis=-1):
+        # each part behind a reshape node, which concat re-homes in its place
+        return concat([da.reshape(p, p.shape) for p in parts], axis)
+
+    runs = []
+    for join in (keeping_parts, spy):
+        monkeypatch.setattr(da, "concat", join)
+        run_params = params.frozen() if frozen else params.replica()
+        out = ftmixer_forward(DiffArray(x), run_params, EVEN)
+        if not frozen:
+            backward(da.reduce_sum(da.mul(out, out)))
+        runs.append((out.values, [p.grad for p in run_params.all()]))
+    ((parts, node),) = joined
+    assert node._parents == (() if frozen else tuple(parts))
+    for part in parts:
+        assert np.shares_memory(part.values, node.values) != frozen
+    (want, want_grads), (got, got_grads) = runs
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert (g is None and w is None) if frozen else np.array_equal(g, w)
+
+
 def test_every_parameter_gets_gradient():
     config = TINY
     params = FtMixerParams.initialize(config)
@@ -642,6 +675,17 @@ def test_truncated_or_padded_checkpoint_raises_data_error(tmp_path):
     cut.write_bytes(raw + b"junk")
     with pytest.raises(DataError):
         load_checkpoint(cut)
+
+
+def test_checkpoint_with_any_flipped_bit_raises_data_error(tmp_path):
+    path = tmp_path / "model.ftm"
+    save_checkpoint(path, FtMixerParams.initialize(TINY), {"note": "unit"})
+    raw = path.read_bytes()
+    flipped = tmp_path / "flipped.ftm"
+    for i in range(len(raw)):
+        flipped.write_bytes(raw[:i] + bytes([raw[i] ^ (1 << i % 8)]) + raw[i + 1:])
+        with pytest.raises(DataError):
+            load_checkpoint(flipped)
 
 
 @pytest.mark.parametrize("meta", [
