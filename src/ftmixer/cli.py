@@ -29,7 +29,6 @@ from .errors import ConfigError, DataError, FtMixerError, NumericError
 from .model import (
     ABLATIONS,
     ModelConfig,
-    default_patch_scales,
     ftmixer_forward,
     load_checkpoint,
 )
@@ -50,7 +49,7 @@ _PARSE_BY_ANNOTATION = {
     "int | None": int,
     "float": float,
     "str": str,
-    "tuple[int, ...]": _int_list,
+    "tuple[int, ...] | None": _int_list,
 }
 
 
@@ -65,12 +64,11 @@ def _field_settings(cls, skip=(), defaults=None) -> dict:
 
 
 _SETTINGS = {
-    # lookback and horizon have no field default; patch_scales None is
-    # derived from the lookback by default_patch_scales.
+    # lookback and horizon have no field default
     "model": _field_settings(
         ModelConfig,
         skip=("channels", "seed"),
-        defaults={"lookback": 336, "horizon": 96, "patch_scales": None},
+        defaults={"lookback": 336, "horizon": 96},
     ),
     "train": _field_settings(TrainConfig),
     "io": {
@@ -134,8 +132,6 @@ def _effective_settings(args) -> dict:
 
 def _model_config(settings: dict, channels: int, **overrides) -> ModelConfig:
     model = dict(settings["model"], **overrides)
-    if model["patch_scales"] is None:
-        model["patch_scales"] = default_patch_scales(model["lookback"])
     return ModelConfig(channels=channels, seed=settings["train"]["seed"], **model)
 
 

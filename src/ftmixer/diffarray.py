@@ -87,9 +87,6 @@ class DiffArray:
     def item(self) -> float:
         return float(self.values.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
 
 def parameter(values) -> DiffArray:
     """A tracked leaf array (model weight)."""
@@ -114,8 +111,6 @@ def _accum(node: DiffArray, g: Array) -> None:
         return
     if node._backprop is not None:
         # interior: keep the (possibly shared, read-only) array uncopied
-        if g.shape != node.values.shape:
-            g = np.broadcast_to(g, node.values.shape)
         node.grad = g if node.grad is None else node.grad + g
     elif node.grad is None:
         node.grad = np.array(np.broadcast_to(g, node.values.shape))

@@ -62,7 +62,7 @@ class ModelConfig:
     horizon: int
     channels: int
     fcc_embed_dim: int = 128
-    patch_scales: tuple[int, ...] = (24, 48)
+    patch_scales: tuple[int, ...] | None = None  # None -> default_patch_scales(lookback)
     patch_embed_dim: int = 64
     fcc_kernel_size: int | None = None  # None -> channel count (full cross-channel view)
     wfc_kernel_size: int = 3
@@ -72,9 +72,10 @@ class ModelConfig:
 
     def __post_init__(self):
         require_int_fields(self)
-        object.__setattr__(
-            self, "patch_scales", tuple(_as_int("patch scale", w) for w in self.patch_scales)
-        )
+        scales = self.patch_scales
+        if scales is None:
+            scales = default_patch_scales(self.lookback)
+        object.__setattr__(self, "patch_scales", tuple(_as_int("patch scale", w) for w in scales))
         for name in ("lookback", "horizon", "channels", "fcc_embed_dim", "patch_embed_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -20,7 +20,6 @@ from .model import (
     ABLATIONS,
     FtMixerParams,
     ModelConfig,
-    default_patch_scales,
     ftmixer_forward,
     require_int_fields,
     save_checkpoint,
@@ -474,7 +473,7 @@ def run_length_sweep(
         per_length = dict(
             lookback=int(lookback),
             horizon=horizon,
-            patch_scales=default_patch_scales(int(lookback)),
+            patch_scales=None,  # re-derived from each lookback
             seed=train_config.seed,
         )
         if base_config is None:

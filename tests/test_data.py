@@ -1,5 +1,8 @@
 """CSV ingestion, splitting, standardization, and windowing."""
 
+import io
+import random
+
 import numpy as np
 import pytest
 
@@ -120,27 +123,6 @@ def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
     assert exc.value.line == 3
 
 
-def test_load_csv_maps_errors_of_the_row_readers_second_read(tmp_path, monkeypatch):
-    path = tmp_path / "quoted.csv"
-    path.write_text('date,a\n"t0",1\n', encoding="utf-8")
-    parse_plain = data_mod._parse_plain
-
-    def then(change):
-        def parse(text):
-            change()  # the file changes between the two reads
-            return parse_plain(text)
-        return parse
-
-    not_utf8 = then(lambda: path.write_bytes(b"date,a\nt0,\xff\n"))
-    monkeypatch.setattr(data_mod, "_parse_plain", not_utf8)
-    with pytest.raises(ParseError, match="not UTF-8"):
-        load_csv(path)
-    path.write_text('date,a\n"t0",1\n', encoding="utf-8")
-    monkeypatch.setattr(data_mod, "_parse_plain", then(path.unlink))
-    with pytest.raises(DataError, match="cannot open"):
-        load_csv(path)
-
-
 def test_load_csv_cell_over_csv_field_limit_is_parse_error(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("date,a\nt0,1\n" + "t" * 200_000 + ",2\n", encoding="utf-8")
@@ -158,6 +140,7 @@ def load_outcome(path):
     return "ok", ds.channel_names, ds.timestamps, ds.values.shape, ds.values.tobytes()
 
 
+ROWS_50 = b"".join(b"t%d,%d\n" % (i, i) for i in range(50))  # lines 2-51
 # (id, file bytes, None if it loads, else the ParseError's line)
 LOADER_CASES = [
     ("plain", b"date,a,b\nt0,1.5,-2\nt1,3,4e-3\n", None),
@@ -192,11 +175,24 @@ LOADER_CASES = [
     ("bom_in_number", "date,a,b\nt0,1,2\nt1,﻿3,4\n".encode(), 3),
     ("bad_row_after_multiline_cell", b'date,a\n"t\n0",1\nt1,x\n', 4),
     ("bad_multiline_row", b'date,a\nt0,1\n"t\n1",x\n', 4),
-    ("bad_row_late", b"date,a\n" + b"".join(b"t%d,%d\n" % (i, i) for i in range(50)) + b"t50,x\n", 52),
+    ("bad_row_late", b"date,a\n" + ROWS_50 + b"t50,x\n", 52),
+    ("bad_byte_late", b"date,a\n" + ROWS_50 + b"t50,\xff\n", 52),
+    ("late_quote_then_bad_row", b"date,a\n" + ROWS_50[: ROWS_50.index(b"t40,")]
+     + b'"t40",1\nt41,2\nt42,x\n', 44),
+    ("multiline_cell_across_blocks", b'date,a\nt0,1\n"t\n1",2\nt2,3\n', None),
+    ("multiline_header_then_bad_row", b'date,"a\nb"\nt0,1\nt1,x\n', 4),
     ("header_only", b"date,a,b\n", 2),
     ("empty_file", b"", 1),
     ("bad_header", b"time,a\nt0,1\n", 1),
 ]
+
+
+# the default, then sizes that put every line or two in a block of its own
+BLOCK_CHARS = (data_mod.CSV_BLOCK_CHARS, 1, 7, 16)
+
+
+def no_vectorized_pass(*args, **kwargs):
+    raise ValueError("vectorized pass switched off")
 
 
 @pytest.mark.parametrize("content,error_line", [c[1:] for c in LOADER_CASES],
@@ -204,17 +200,17 @@ LOADER_CASES = [
 def test_load_csv_matches_row_reader(tmp_path, monkeypatch, content, error_line):
     path = tmp_path / "case.csv"
     path.write_bytes(content)
-    got = load_outcome(path)
-
-    def no_vectorized_pass(*args, **kwargs):
-        raise ValueError("vectorized pass switched off")
-
+    got = []
+    for chars in BLOCK_CHARS:
+        monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", chars)
+        got.append(load_outcome(path))
     monkeypatch.setattr(np, "loadtxt", no_vectorized_pass)
-    assert got == load_outcome(path)
+    want = load_outcome(path)
+    assert got == [want] * len(BLOCK_CHARS)
     if error_line is None:
-        assert got[0] == "ok"
+        assert want[0] == "ok"
     else:
-        assert got[0] == "error" and got[2] == error_line
+        assert want[0] == "error" and want[2] == error_line
 
 
 def random_decimals(rng, count):
@@ -245,13 +241,109 @@ def test_load_csv_parses_decimals_bitwise_like_float(tmp_path):
     assert load_csv(path).values.tobytes() == want.tobytes()
 
 
+def test_load_csv_reads_decimals_in_blocks_bitwise_like_one_block(tmp_path, monkeypatch):
+    text, want = decimal_csv(np.random.default_rng(1515))
+    path = tmp_path / "decimals.csv"
+    path.write_text(text, encoding="utf-8")
+    whole = load_csv(path)
+    monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", 1000)
+    blocks = load_csv(path)
+    assert blocks.values.tobytes() == whole.values.tobytes() == want.tobytes()
+    assert blocks.timestamps == whole.timestamps
+
+
+def plain_pass(text):
+    """_parse_plain on the lines after ``text``'s header, split as load_csv reads them."""
+    header, *block = io.StringIO(text, newline="").readlines() or [""]
+    return data_mod._parse_plain(block, header.count(","))
+
+
 def test_load_csv_takes_vectorized_pass_only_for_plain_files():
     text, want = decimal_csv(np.random.default_rng(1515))
-    assert data_mod._parse_plain(text)[2].tobytes() == want.tobytes()
-    assert data_mod._parse_plain("date,a,b\r\nt0,1,2\r\n\r\nt1,3,4\r\n") is not None
+    assert plain_pass(text)[1].T.tobytes() == want.tobytes()
+    assert plain_pass("date,a,b\r\nt0,1,2\r\n\r\nt1,3,4\r\n") is not None
     for text in ['date,a\n"t0",1\n', "date,a\nt0,1_0\n", "date,a\nt0,1,2\n",
                  "date,a\nt0,\x1f1\n", "date,a\nt0,inf\n", "date,a\n", ""]:
-        assert data_mod._parse_plain(text) is None, text
+        assert plain_pass(text) is None, text
+
+
+@pytest.mark.parametrize("content", [
+    b"date,a\nt0,1\nt1,2\n",
+    b'date,a\n"t0",1\nt1,2\n',
+    b"date,a\nt0,1\nt1,x\n",
+    b"date,a\nt0,1\nt1,\xff\n",  # read again, as bytes, through the same handle
+], ids=["plain", "row_reader", "parse_error", "not_utf8"])
+def test_load_csv_opens_the_file_once(tmp_path, monkeypatch, content):
+    path = tmp_path / "once.csv"
+    path.write_bytes(content)
+    calls = []
+
+    def counting_open(*args, **kwargs):
+        calls.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(data_mod, "open", counting_open, raising=False)
+    for chars in (data_mod.CSV_BLOCK_CHARS, 1):
+        monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", chars)
+        calls.clear()
+        try:
+            load_csv(path)
+        except ParseError:
+            pass
+        assert calls == [path]
+
+
+def test_load_csv_raises_earlier_parse_error_before_later_bad_byte(tmp_path, monkeypatch):
+    # text is decoded as it is read, so only a block that is read can fail
+    rows = b"".join(b"t%d,%d\n" % (i, i) for i in range(4000))
+    path = tmp_path / "late_bad_byte.csv"
+    path.write_bytes(b"date,a\nt0,x\n" + rows + b"t,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        load_csv(path)  # one block: the whole file is decoded first
+    assert exc.value.line == 4003
+    monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", 64)
+    with pytest.raises(ParseError, match="non-numeric") as exc:
+        load_csv(path)
+    assert exc.value.line == 2
+
+
+def mutate_csv(rng: random.Random, content: bytes) -> bytes:
+    """One to three seeded edits: a flipped byte, an inserted quote, CR,
+    comma or byte order mark, or a duplicated line."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(3)
+        at = rng.randrange(len(content) + 1)
+        if edit == 0 and content:
+            at = min(at, len(content) - 1)
+            flipped = content[at] ^ (1 << rng.randrange(8))
+            content = content[:at] + bytes([flipped]) + content[at + 1:]
+        elif edit == 1:
+            insert = rng.choice([b'"', b"\r", b",", "\ufeff".encode()])
+            content = content[:at] + insert + content[at:]
+        else:
+            lines = content.splitlines(keepends=True) or [b""]
+            i = rng.randrange(len(lines))
+            content = b"".join(lines[: i + 1] + lines[i:])
+    return content
+
+
+def test_load_csv_fuzzed_files_match_row_reader(tmp_path, monkeypatch):
+    rng = random.Random(1919)
+    base = b"date,a,b\n" + b"".join(b"t%d,%d.5,-%de-3\n" % (i, i, i) for i in range(30))
+    path = tmp_path / "fuzz.csv"
+    outcomes = set()
+    for _ in range(300):
+        path.write_bytes(mutate_csv(rng, base))
+        got = []
+        for chars in (data_mod.CSV_BLOCK_CHARS, 16):
+            monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", chars)
+            got.append(load_outcome(path))
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", no_vectorized_pass)
+            want = load_outcome(path)  # any other error escapes and fails here
+        assert got == [want, want], path.read_bytes()
+        outcomes.add(want[0] if want[0] == "ok" else want[1].split(": ", 1)[-1].split()[0])
+    assert len(outcomes) >= 4, outcomes  # the mutations reach several outcomes
 
 
 def test_split_622_arithmetic():

@@ -83,7 +83,7 @@ def test_gradients_flow_through_both_branches():
     loss = dual_domain_loss(DiffArray(y), y_hat)
     backward(loss.time_node)
     time_grad = y_hat.grad.copy()
-    y_hat.zero_grad()
+    da.zero_grads([y_hat])
     loss = dual_domain_loss(DiffArray(y), y_hat)
     backward(loss.freq_node)
     freq_grad = y_hat.grad.copy()

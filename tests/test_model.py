@@ -106,6 +106,15 @@ def test_default_patch_scales():
     assert default_patch_scales(192) == (24, 48)
 
 
+def test_config_derives_patch_scales_from_its_own_lookback():
+    assert ModelConfig(lookback=100, horizon=8, channels=1).patch_scales == (2, 4)
+    assert ModelConfig(lookback=96, horizon=8, channels=1).patch_scales == (12, 24)
+    assert ModelConfig(lookback=336, horizon=96, channels=7).patch_scales == (24, 48)
+    config = ModelConfig(lookback=96, horizon=8, channels=1, patch_scales=(8, 32))
+    assert config.patch_scales == (8, 32)
+    assert ModelConfig.from_dict(config.to_dict()) == config
+
+
 # ---------------------------------------------------------------------------
 # reversible instance normalization
 
