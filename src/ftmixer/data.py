@@ -8,10 +8,11 @@ standardization statistics come from the training rows only.
 :func:`load_csv` reads the file once, as one stream: ``csv`` reads the
 header, and the lines after it come in blocks of :data:`CSV_BLOCK_CHARS`
 characters.  A plain block (no quote character, one comma per channel on
-every line, finite numbers) is parsed by one ``np.loadtxt`` call.  The
-first other block and the rest of the stream go through the row reader
-(``csv`` plus ``float()`` per cell), the reference: it takes quoted
-cells and every number ``float()`` takes, and raises the
+every line, finite numbers) is parsed by one ``np.loadtxt`` call.  Any
+other block, with the rest of a quoted record that runs on past it, goes
+through the row reader (``csv`` plus ``float()`` per cell), and the
+block after it is tried plain again.  The row reader is the reference:
+it takes quoted cells and every number ``float()`` takes, and raises the
 :class:`ParseError` that names the first bad line.  Text is decoded as
 it is read, so in a file over one block a parse error in an earlier
 block is raised before a byte that is not UTF-8 in a later one.
@@ -25,6 +26,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DataError, ParseError
 
@@ -98,11 +100,13 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
                 parts: list[np.ndarray] = []  # [rows, N] per block
                 while block := f.readlines(CSV_BLOCK_CHARS):
                     parsed = _parse_plain(block, len(channel_names))
-                    if parsed is None:
-                        parsed = _parse_rows(itertools.chain(block, f), len(channel_names), offset)
+                    read = len(block)
+                    if parsed is None:  # a quoted record may run on past the block
+                        *parsed, read = _parse_rows(itertools.chain(block, f),
+                                                    len(channel_names), offset, read)
                     timestamps += parsed[0]
                     parts.append(parsed[1])
-                    offset += len(block)
+                    offset += read
             except csv.Error as exc:  # the header's, e.g. a cell over csv.field_size_limit()
                 raise ParseError(str(exc), line=reader.line_num) from None
             except UnicodeDecodeError as exc:
@@ -172,9 +176,11 @@ def _parse_plain(block: list[str], n: int):
     return [line.partition(",")[0] for line in block if "," in line], values
 
 
-def _parse_rows(lines, n: int, offset: int):
-    """Timestamps and [rows, n] values, read row by row from ``lines``: the
-    file opened with ``newline=""``, from physical line ``offset + 1`` on.
+def _parse_rows(lines, n: int, offset: int, stop: int):
+    """Timestamps, [rows, n] values and the number of lines read, row by
+    row from ``lines``: the file opened with ``newline=""``, from physical
+    line ``offset + 1`` on, up to the first record that ends at or after
+    its line ``stop``.
 
     The reference reader: ``csv.reader`` splits each row (quoted cells,
     any line end) and ``float()`` parses each cell, so it also takes
@@ -186,22 +192,23 @@ def _parse_rows(lines, n: int, offset: int):
     timestamps: list[str] = []
     try:
         for row in reader:
-            if not row:
-                continue
             line = offset + reader.line_num
-            if len(row) != n + 1:
-                raise ParseError(f"expected {n + 1} cells, got {len(row)}", line=line)
-            try:
-                parsed = [float(cell) for cell in row[1:]]
-            except ValueError:
-                raise ParseError(f"non-numeric cell in {row[1:]!r}", line=line) from None
-            if not all(np.isfinite(parsed)):
-                raise ParseError("non-finite value", line=line)
-            timestamps.append(row[0])
-            rows.append(parsed)
+            if row:
+                if len(row) != n + 1:
+                    raise ParseError(f"expected {n + 1} cells, got {len(row)}", line=line)
+                try:
+                    parsed = [float(cell) for cell in row[1:]]
+                except ValueError:
+                    raise ParseError(f"non-numeric cell in {row[1:]!r}", line=line) from None
+                if not all(np.isfinite(parsed)):
+                    raise ParseError("non-finite value", line=line)
+                timestamps.append(row[0])
+                rows.append(parsed)
+            if reader.line_num >= stop:
+                break
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise ParseError(str(exc), line=offset + reader.line_num) from None
-    return timestamps, np.asarray(rows, dtype=np.float64).reshape(-1, n)
+    return timestamps, np.asarray(rows, dtype=np.float64).reshape(-1, n), reader.line_num
 
 
 def from_values(values: np.ndarray, name: str = "series") -> SeriesDataset:
@@ -292,6 +299,9 @@ def window_samples(ds: SeriesDataset, split: str, lookback: int, horizon: int) -
 
 @dataclass(frozen=True)
 class ForecastBatch:
+    """Windows of a batch.  From a run of consecutive starts, ``inputs``
+    and ``targets`` are read-only views of the series, not contiguous."""
+
     inputs: np.ndarray   # [B, N, L]
     targets: np.ndarray  # [B, N, tau]
     starts: np.ndarray   # [B]
@@ -300,16 +310,33 @@ class ForecastBatch:
 def gather_batch(
     ds: SeriesDataset, starts: np.ndarray, lookback: int, horizon: int
 ) -> ForecastBatch:
-    """Materialize windows at the given start indices; targets follow inputs."""
+    """The windows at the given start indices; targets follow inputs.
+
+    A run of consecutive starts (every :func:`iter_batches` batch of a
+    sorted start list) gives read-only strided views of ``ds.values``,
+    with no copy; any other start list gives fresh C-contiguous arrays.
+    Raises :class:`ContractError` for a start whose window does not lie
+    inside the series.
+    """
     starts = np.asarray(starts, dtype=np.int64)
-    offsets = np.arange(lookback + horizon)
-    windows = ds.values[:, starts[:, None] + offsets[None, :]]  # [N, B, L+tau]
-    windows = np.moveaxis(windows, 0, 1)                        # [B, N, L+tau]
-    return ForecastBatch(
-        inputs=np.ascontiguousarray(windows[:, :, :lookback]),
-        targets=np.ascontiguousarray(windows[:, :, lookback:]),
-        starts=starts,
-    )
+    span = lookback + horizon
+    last = ds.length - span
+    outside = (starts < 0) | (starts > last)
+    if outside.any():
+        raise ContractError(
+            f"gather_batch: window start {starts[outside][0]} outside 0..{last} "
+            f"({span}-step windows in a {ds.length}-step series)"
+        )
+    run = len(starts) > 0 and np.all(np.diff(starts) == 1)
+    if run:
+        windows = sliding_window_view(ds.values, span, axis=1)[:, starts[0] : starts[-1] + 1]
+    else:
+        windows = ds.values[:, starts[:, None] + np.arange(span)]
+    windows = np.moveaxis(windows, 0, 1)  # [B, N, L+tau]
+    inputs, targets = windows[:, :, :lookback], windows[:, :, lookback:]
+    if not run:
+        inputs, targets = np.ascontiguousarray(inputs), np.ascontiguousarray(targets)
+    return ForecastBatch(inputs=inputs, targets=targets, starts=starts)
 
 
 def iter_batches(

@@ -492,10 +492,17 @@ def ftmixer_forward(x, params: FtMixerParams, config: ModelConfig,
     ``ablation`` may disable one branch ("no_fcc" keeps only the local
     branch, "no_wfc" only the global one); loss-side ablation values
     leave the forward untouched.
+
+    An input that is not a :class:`DiffArray` is taken as one C-ordered
+    float64 array, copied once if it is not one already (a strided view
+    from :func:`~ftmixer.data.gather_batch`): numpy would carry a view's
+    layout into every elementwise result and turn the branches' reshapes
+    into copies.
     """
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
-    x = da._lift(x)
+    if not isinstance(x, DiffArray):
+        x = DiffArray(np.asarray(x, dtype=np.float64, order="C"))
     if x.shape[-2:] != (config.channels, config.lookback):
         raise DimensionError(
             f"ftmixer_forward: expected [..., {config.channels}, {config.lookback}], "

@@ -28,17 +28,13 @@ from .model import (
 log = logging.getLogger(__name__)
 
 # Bytes of the widest per-window activation that one forward of evaluate()
-# holds, so that a row block stays in a core's L2 (2 MiB on the 2-core host
-# it was tuned on).  Sweep, evaluate() windows/s over 3053 windows at the
-# paper shape, B=256, median of 4 interleaved rounds: 128 KiB (1 row) 1235,
-# 256 KiB (3) 2161, 512 KiB (6) 2713, 1 MiB (13) 2888, 2 MiB (27) 2909,
-# 4 MiB (55) 2634, unblocked (256) 1864.  1 and 2 MiB tie; the smaller
-# leaves L2 room for the weights.  Re-measured after the head fold, BLAS at
-# 1 thread, median of 8 interleaved rounds, serial / 2 workers: 512 KiB
-# (6 rows) 3718 / 5077, 1 MiB (13) 3883 / 6099, 1.5 MiB (20) 3754 / 6352,
-# 2 MiB (27) 3846 / 5630.  13 and 20 rows tie within the rounds' spread, so
-# the budget stays.
-EVAL_BLOCK_BUDGET = 1 << 20
+# holds in a row block.  Sweep, evaluate() windows/s over 3053 windows at
+# the paper shape, B=256, BLAS at 1 thread on a 2-core x86-64 host, median
+# of 8 interleaved rounds, W=1 / W=2: 1 MiB (13 rows) 4134 / 6387, 1.5 MiB
+# (20) 4341 / 6756, 2 MiB (27) 4281 / 6992, 2.5 MiB (34) 4186 / 7098,
+# 3 MiB (41) 4251 / 7068.  W=1 is flat within the rounds' spread; at W=2
+# 2 MiB is the smallest budget on the plateau.
+EVAL_BLOCK_BUDGET = 1 << 21
 
 # Bytes of that widest activation a training shard must hold to outrun the
 # GIL its autodiff bookkeeping takes: a smaller batch trains as one shard.
@@ -205,15 +201,16 @@ def evaluate(
     for this call only, because an optimizer step between two calls
     changes the values its folds were built from.
 
-    ``batch_size`` windows are gathered at a time, and each batch is
+    ``batch_size`` windows are taken at a time, as views of the series
+    (no copy; see :func:`~ftmixer.data.gather_batch`), and each batch is
     forwarded in consecutive row blocks of ``max(1, EVAL_BLOCK_BUDGET //
-    _window_bytes(model_config))`` windows, so that a block's widest
-    activation stays in cache: 13 windows at the paper shape, where 1 MiB
-    tied for fastest in the sweep given at ``EVAL_BLOCK_BUDGET``.  The
-    blocks run through :func:`_map` on :func:`_workers` workers; each
-    writes only its own rows of the batch's prediction, and the errors
-    are summed per batch once every block is done, so the metrics are
-    bit-identical for any worker count.
+    _window_bytes(model_config))`` windows: 27 at the paper shape, the
+    smallest of the fastest in the sweep given at ``EVAL_BLOCK_BUDGET``.
+    The blocks run through :func:`_map` on :func:`_workers` workers; each
+    copies its own input rows (the forward's entry copy), writes only its
+    own rows of the batch's prediction, and the errors are summed per
+    batch once every block is done, so the metrics are bit-identical for
+    any worker count.
     """
     if model_config.channels != dataset.channels:
         raise ConfigError(
@@ -224,6 +221,13 @@ def evaluate(
     frozen = params.frozen()
     rows = max(1, EVAL_BLOCK_BUDGET // _window_bytes(model_config))
     workers = _workers()
+    # Allocate and free, untouched, 4x a block's widest activation: about
+    # the peak of its temporaries (8.2 MB at the paper shape).  Freeing a
+    # chunk glibc mapped for itself raises its mmap threshold to that size
+    # (up to 32 MiB) and its heap-trim threshold to twice it, so the blocks
+    # reuse heap pages instead of faulting fresh ones in: the first call in
+    # a fresh process at W=1 took 194k minor faults without this, 4.4k with.
+    np.empty(4 * rows * _window_bytes(model_config), np.uint8)
     sq_sum = 0.0
     abs_sum = 0.0
     elems = 0
@@ -241,7 +245,8 @@ def evaluate(
                 ).values
 
             _map(pool, workers, -(-len(pred) // rows), block)
-            diff = pred - batch.targets
+            diff = pred
+            diff -= batch.targets  # in place: the sums run over a C-ordered array
             sq_sum += float(np.sum(diff * diff))
             abs_sum += float(np.sum(np.abs(diff)))
             elems += diff.size

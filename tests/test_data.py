@@ -180,6 +180,9 @@ LOADER_CASES = [
     ("late_quote_then_bad_row", b"date,a\n" + ROWS_50[: ROWS_50.index(b"t40,")]
      + b'"t40",1\nt41,2\nt42,x\n', 44),
     ("multiline_cell_across_blocks", b'date,a\nt0,1\n"t\n1",2\nt2,3\n', None),
+    ("early_quote_then_bad_row_late", b'date,a\n"t",1\n' + ROWS_50 + b"t50,x\n", 53),
+    ("early_multiline_cell_then_bad_row_late",
+     b'date,a\n"t\n",1\n' + ROWS_50 + b"t50,x\n", 54),
     ("multiline_header_then_bad_row", b'date,"a\nb"\nt0,1\nt1,x\n', 4),
     ("header_only", b"date,a,b\n", 2),
     ("empty_file", b"", 1),
@@ -265,6 +268,33 @@ def test_load_csv_takes_vectorized_pass_only_for_plain_files():
     for text in ['date,a\n"t0",1\n', "date,a\nt0,1_0\n", "date,a\nt0,1,2\n",
                  "date,a\nt0,\x1f1\n", "date,a\nt0,inf\n", "date,a\n", ""]:
         assert plain_pass(text) is None, text
+
+
+def test_load_csv_returns_to_the_vectorized_pass_after_a_quoted_row(tmp_path, monkeypatch):
+    path = tmp_path / "one_quote.csv"
+    path.write_bytes(b'date,a\n"t",1\n' + ROWS_50)
+    calls = []  # (parser, lines it parsed)
+    parse_plain, parse_rows = data_mod._parse_plain, data_mod._parse_rows
+
+    def plain(block, n):
+        parsed = parse_plain(block, n)
+        calls.append(("plain", len(block) if parsed else 0))
+        return parsed
+
+    def rows(lines, *args):
+        parsed = parse_rows(lines, *args)
+        calls.append(("rows", parsed[2]))
+        return parsed
+
+    monkeypatch.setattr(data_mod, "_parse_plain", plain)
+    monkeypatch.setattr(data_mod, "_parse_rows", rows)
+    monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", 64)
+    ds = load_csv(path)
+    assert ds.timestamps == ("t", *(f"t{i}" for i in range(50)))
+    # the quoted row's block goes to the row reader, and every later block is plain
+    assert calls[0] == ("plain", 0) and calls[1][0] == "rows" and len(calls) > 4
+    assert all(parser == "plain" and lines for parser, lines in calls[2:])
+    assert sum(lines for _, lines in calls) == 51
 
 
 @pytest.mark.parametrize("content", [
@@ -439,6 +469,52 @@ def test_windows_stay_inside_split_and_targets_adjacent():
         for i, s in enumerate(batch.starts):
             np.testing.assert_array_equal(batch.inputs[i], ds.values[:, s : s + 6])
             np.testing.assert_array_equal(batch.targets[i], ds.values[:, s + 6 : s + 9])
+
+
+def fancy_gather(ds, starts, lookback, horizon):
+    """Inputs and targets by one fancy index, as gather_batch copies them."""
+    windows = np.moveaxis(ds.values[:, starts[:, None] + np.arange(lookback + horizon)], 0, 1)
+    return windows[:, :, :lookback], windows[:, :, lookback:]
+
+
+def test_gather_batch_views_a_run_of_starts():
+    ds = toy_dataset(total=40, channels=3)
+    for starts in (np.arange(5, 17), np.array([31]), np.arange(32)):
+        batch = gather_batch(ds, starts, lookback=6, horizon=3)
+        for got, want in zip((batch.inputs, batch.targets), fancy_gather(ds, starts, 6, 3)):
+            assert np.shares_memory(got, ds.values) and not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("starts", [[7, 3, 12, 4], [3, 4, 6, 7], [5, 5, 6], [9, 8, 7]],
+                         ids=["shuffled", "gapped", "repeated", "descending"])
+def test_gather_batch_copies_any_other_start_list(starts):
+    ds = toy_dataset(total=40, channels=3)
+    starts = np.array(starts)
+    batch = gather_batch(ds, starts, lookback=6, horizon=3)
+    for got, want in zip((batch.inputs, batch.targets), fancy_gather(ds, starts, 6, 3)):
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, ds.values)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("starts, bad", [([-3], -3), ([0, 1, -1], -1), ([16], 16),
+                                         ([14, 15, 16], 16), ([2, 40, 5], 40)],
+                         ids=["negative", "negative_in_gather", "past_end", "run_past_end",
+                              "past_end_in_gather"])
+def test_gather_batch_rejects_windows_outside_the_series(starts, bad):
+    ds = from_values(np.arange(20.0)[None, :])  # 5-step windows start at 0..15
+    with pytest.raises(ContractError, match=rf"start {bad} outside 0\.\.15"):
+        gather_batch(ds, starts, lookback=3, horizon=2)
+    for ends in ([0], [15], [0, 15]):
+        assert gather_batch(ds, ends, lookback=3, horizon=2).inputs.shape == (len(ends), 1, 3)
+
+
+def test_gather_batch_rejects_a_series_shorter_than_a_window():
+    ds = from_values(np.arange(4.0)[None, :])
+    with pytest.raises(ContractError, match="outside 0..-1"):
+        gather_batch(ds, [0], lookback=3, horizon=2)
+    assert gather_batch(ds, [], lookback=3, horizon=2).inputs.shape == (0, 1, 3)
 
 
 def test_iter_batches_includes_tail():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from ftmixer import diffarray as da
+from ftmixer import model as model_mod
+from ftmixer.data import from_values, gather_batch
 from ftmixer.diffarray import DiffArray, backward
 from ftmixer.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 from ftmixer.model import (
@@ -462,6 +464,33 @@ def test_frozen_forward_matches_tracked(config, ablation):
         assert not out.requires_grad and out._parents == ()
         scale = np.max(np.abs(tracked_out.values))
         assert np.max(np.abs(out.values - tracked_out.values)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("config", [FULL, TINY], ids=["full", "tiny"])
+def test_forward_on_a_strided_view_is_bitwise_the_contiguous_forward(monkeypatch, config):
+    layouts = []  # whether each forward's RevIN input is C-ordered
+
+    def spy(x, *args):
+        layouts.append(x.values.flags.c_contiguous)
+        return revin_normalize(x, *args)
+
+    monkeypatch.setattr(model_mod, "revin_normalize", spy)
+    series = np.random.default_rng(41).standard_normal((config.channels, config.lookback + 9))
+    view = gather_batch(from_values(series), np.arange(6), config.lookback, 4).inputs
+    assert not view.flags.c_contiguous and not view.flags.writeable
+    contiguous = np.ascontiguousarray(view)
+    params = FtMixerParams.initialize(config)
+    frozen = params.frozen()
+    assert (ftmixer_forward(view, frozen, config).values.tobytes()
+            == ftmixer_forward(contiguous, frozen, config).values.tobytes())
+    runs = []
+    for x in (view, contiguous):
+        replica = params.replica()
+        out = ftmixer_forward(x, replica, config)
+        backward(da.reduce_mean(da.mul(out, out)))
+        runs.append([out.values.tobytes()] + [p.grad.tobytes() for p in replica.all()])
+    assert runs[0] == runs[1]
+    assert layouts == [True] * 4  # the view is copied once, at the forward's entry
 
 
 def test_frozen_set_is_read_only_untracked_and_memoizes():

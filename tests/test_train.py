@@ -228,6 +228,13 @@ def block_rule(config):
     return max(1, train_mod.EVAL_BLOCK_BUDGET // (8 * config.channels * widest))
 
 
+@pytest.fixture
+def eight_row_blocks(monkeypatch):
+    """Size the row blocks at 8 WIDE windows, whatever the default budget,
+    so that a batch of 13 and the test split (41 windows) span several."""
+    monkeypatch.setattr(train_mod, "EVAL_BLOCK_BUDGET", 8 * train_mod._window_bytes(WIDE))
+
+
 def tape_metrics(params, config, prepared, split):
     """mse and mae from one tracked forward over every window of a split."""
     starts = window_samples(prepared, split, config.lookback, config.horizon)
@@ -242,7 +249,7 @@ def assert_metrics_close(metrics, expected):
     assert abs(metrics["mae"] - mae) <= 1e-12 * mae
 
 
-def test_evaluate_independent_of_batch_size():
+def test_evaluate_independent_of_batch_size(eight_row_blocks):
     prepared = wide_problem()
     params = FtMixerParams.initialize(WIDE)
     assert 1 < block_rule(WIDE) < 13
@@ -329,7 +336,7 @@ def meet_in_forward(monkeypatch, parties):
 
 
 @pytest.mark.parametrize("ablation", ["full", "no_fcc", "no_wfc"])
-def test_evaluate_bit_identical_for_any_worker_count(monkeypatch, ablation):
+def test_evaluate_bit_identical_for_any_worker_count(monkeypatch, eight_row_blocks, ablation):
     prepared = wide_problem()
     params = FtMixerParams.initialize(WIDE)
     samples = len(window_samples(prepared, "test", WIDE.lookback, WIDE.horizon))
