@@ -9,7 +9,8 @@ the flag stays ``--lr``), and [io] holds data, output, checkpoint and
 ratios.  Config values are read as written: a ``%`` is not interpolated.
 Every artifact embeds the effective settings and seed, and is written
 under a temporary name, then renamed into place.  Exit codes: 0 ok,
-1 configuration error, 2 data error, 3 numeric abort.
+1 configuration error (an output file that cannot be written included),
+2 data error, 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -156,13 +157,9 @@ def _out_dir(settings: dict) -> Path:
     return out
 
 
-def _config_header(settings: dict) -> str:
-    return "# config: " + json.dumps(settings, sort_keys=True, default=str)
-
-
 def _write_csv(path: Path, settings: dict, header: list[str], rows) -> None:
     with da._atomic_file(path, text=True) as f:
-        f.write(_config_header(settings) + "\n")
+        f.write("# config: " + json.dumps(settings, sort_keys=True, default=str) + "\n")
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
@@ -178,8 +175,7 @@ def _write_json(path: Path, payload: dict) -> None:
 # subcommands
 
 
-def cmd_train(args) -> int:
-    settings = _effective_settings(args)
+def cmd_train(args, settings: dict) -> int:
     raw = _require_data(settings)
     model_config = _model_config(settings, raw.channels)
     train_config = _train_config(settings)
@@ -225,8 +221,7 @@ def _load_for_eval(settings):
     return params, prepared, ablation
 
 
-def cmd_eval(args) -> int:
-    settings = _effective_settings(args)
+def cmd_eval(args, settings: dict) -> int:
     params, prepared, ablation = _load_for_eval(settings)
     out = _out_dir(settings)
     metrics = evaluate(
@@ -242,8 +237,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    settings = _effective_settings(args)
+def cmd_predict(args, settings: dict) -> int:
     params, prepared, ablation = _load_for_eval(settings)
     config = params.config
     span = config.lookback + config.horizon
@@ -272,8 +266,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    settings = _effective_settings(args)
+def cmd_spectrum(args, settings: dict) -> int:
     raw = _require_data(settings)
     if not 0 <= args.channel < raw.channels:
         raise ConfigError(f"channel {args.channel} out of range (dataset has {raw.channels})")
@@ -295,8 +288,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    settings = _effective_settings(args)
+def cmd_sweep(args, settings: dict) -> int:
     if not args.lengths:
         raise ConfigError("--lengths names no lookback")
     raw = _require_data(settings)
@@ -392,10 +384,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"ftmixer: error: config: {exc}", file=sys.stderr)
-        return 1
+        return args.func(args, _effective_settings(args))
     except DataError as exc:
         print(f"ftmixer: error: data: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ContractError, DataError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -697,7 +697,8 @@ def save_arrays(path, arrays: dict[str, Array], metadata: dict | None = None) ->
     more entries and metadata, without a new version.
 
     The file is written through :func:`_atomic_file`, so ``path`` is never
-    half-written.
+    half-written; a ``path`` that cannot be written raises
+    :class:`ConfigError`.
     """
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
     crc = 0
@@ -733,17 +734,25 @@ def _atomic_file(path, text: bool = False):
     with newlines as written) under a temporary name in ``path``'s
     directory.  When the block ends it is synced and renamed over
     ``path``; when the block raises (an interrupt included) it is removed
-    and ``path`` stays as it was.
+    and ``path`` stays as it was.  An ``OSError`` from opening the
+    temporary file or from the rename (``path`` is a directory, say)
+    raises :class:`ConfigError`.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    f = open(tmp, "x", encoding="utf-8", newline="") if text else open(tmp, "xb")
+    try:
+        f = open(tmp, "x", encoding="utf-8", newline="") if text else open(tmp, "xb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     try:
         with f:
             yield f
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     except BaseException:
         os.remove(tmp)
         raise
@@ -753,9 +762,9 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
     """Inverse of :func:`save_arrays`.
 
     An unreadable, truncated or malformed file, one with bytes after its
-    last entry, or a version-2 file whose checksum does not match, raises
-    :class:`DataError`.  Version-1 files, which carry no checksum, still
-    load.
+    last entry or that names an entry twice, or a version-2 file whose
+    checksum does not match, raises :class:`DataError`.  Version-1 files,
+    which carry no checksum, still load.
     """
     try:
         with open(path, "rb") as f:
@@ -801,6 +810,8 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{path}: checkpoint entry name is not UTF-8") from None
+        if name in arrays:
+            raise DataError(f"{path}: checkpoint names entry {name!r} twice")
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I") if ndim else ()
         payload = take(8 * math.prod(shape))

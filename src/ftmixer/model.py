@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -282,19 +282,6 @@ class FtMixerParams:
                 self._folds[key] = build()
             return self._folds[key]
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: self._entries[name].values.copy() for name in self._order}
-
-    def load_values(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in self._order:
-            src = np.asarray(arrays[name], dtype=np.float64)
-            if src.shape != self._entries[name].shape:
-                raise ContractError(
-                    f"parameter {name}: expected shape {self._entries[name].shape}, "
-                    f"got {src.shape}"
-                )
-            self._entries[name].values = src.copy()
-
 
 def save_checkpoint(path, params: FtMixerParams, extra_metadata: dict | None = None) -> None:
     meta = {"model_config": params.config.to_dict()}
@@ -333,10 +320,6 @@ class RevinState:
     mean: DiffArray
     std: DiffArray
 
-    @property
-    def channels(self) -> int:
-        return self.mean.shape[-2]
-
 
 def revin_normalize(x, epsilon: float) -> tuple[DiffArray, RevinState]:
     """Standardize each channel by its own lookback mean and std.
@@ -357,10 +340,10 @@ def revin_normalize(x, epsilon: float) -> tuple[DiffArray, RevinState]:
 def revin_denormalize(y, state: RevinState) -> DiffArray:
     """Invert :func:`revin_normalize` on a horizon window."""
     y = da._lift(y)
-    if y.values.ndim < 2 or y.shape[-2] != state.channels:
+    channels = state.mean.shape[-2]
+    if y.values.ndim < 2 or y.shape[-2] != channels:
         raise ContractError(
-            f"revin_denormalize: prediction has {y.shape} but state has "
-            f"{state.channels} channels"
+            f"revin_denormalize: prediction has {y.shape} but state has {channels} channels"
         )
     return da.add(da.mul(y, state.std), state.mean)
 

@@ -370,7 +370,7 @@ def train(
     checkpoint_meta = {"train_config": train_config.to_dict(), "dataset": dataset.name}
 
     best_val = float("inf")
-    best_values: dict[str, np.ndarray] | None = None
+    best_values: list[np.ndarray] | None = None
     stale_epochs = 0
     # a pool starts its threads on first submit, so W = 1 starts none
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
@@ -429,7 +429,7 @@ def train(
             if val["mse"] < best_val:
                 best_val = val["mse"]
                 report.best_epoch = epoch
-                best_values = params.copy_values()
+                best_values = [p.values.copy() for p in params.all()]
                 stale_epochs = 0
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, params, checkpoint_meta)
@@ -442,7 +442,8 @@ def train(
                     break
 
     if best_values is not None:
-        params.load_values(best_values)
+        for p, values in zip(params.all(), best_values):
+            p.values[...] = values
     test = evaluate(
         params,
         model_config,

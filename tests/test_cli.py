@@ -107,6 +107,17 @@ def test_output_that_cannot_be_a_directory_exits_1_before_training(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("artifact", ["report.json", "checkpoint.ftm"])
+def test_artifact_path_that_is_a_directory_exits_1(series_csv, tmp_path, capsys, artifact):
+    out = tmp_path / "run"
+    (out / artifact).mkdir(parents=True)
+    assert main(train_args(series_csv, out, extra=["--epochs", "1"])) == 1
+    err = capsys.readouterr().err
+    assert f"ftmixer: error: config: cannot write {out / artifact}:" in err
+    assert "Traceback" not in err
+    assert list(out.rglob("*.tmp")) == []
+
+
 def test_indivisible_patch_scale_exits_1(series_csv, tmp_path, capsys):
     code = main(train_args(series_csv, tmp_path / "out", extra=["--patch-scales", "25"]))
     assert code == 1

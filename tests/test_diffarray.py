@@ -618,6 +618,16 @@ def test_container_malformed_metadata_or_name_raises_data_error(tmp_path, meta, 
         da.load_arrays(path)
 
 
+def test_container_rejects_an_entry_name_given_twice(tmp_path):
+    raw = b"FTMX" + struct.pack("<II", 2, 2) + b"{}" + struct.pack("<I", 2)
+    for value in (1.0, 2.0):
+        raw += struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1) + struct.pack("<d", value)
+    path = tmp_path / "twice.ftm"
+    path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+    with pytest.raises(DataError, match="names entry 'w' twice"):
+        da.load_arrays(path)
+
+
 def test_container_writes_v1_layout_plus_crc_and_loads_v1(tmp_path):
     arrays = {"w": np.arange(6.0).reshape(2, 3) / 7.0, "s": np.array(-2.5)}
     meta = {"epoch": 3, "note": "unit"}

@@ -106,6 +106,7 @@ def test_default_patch_scales():
     assert default_patch_scales(720) == (24, 48)
     assert default_patch_scales(96) == (12, 24)
     assert default_patch_scales(192) == (24, 48)
+    assert default_patch_scales(7) == (1,)
 
 
 def test_config_derives_patch_scales_from_its_own_lookback():

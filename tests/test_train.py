@@ -99,6 +99,27 @@ def test_nan_loss_aborts_with_diagnostic():
     assert "epoch" in str(exc.value)
 
 
+def test_non_finite_loss_aborts_before_backward(monkeypatch):
+    prepared, config = small_problem()
+
+    def forward(x, params, *args, **kwargs):
+        prediction = ftmixer_forward(x, params, *args, **kwargs)
+        return prediction if params.is_frozen else da.mul(prediction, 1e200)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
+    monkeypatch.setattr(da, "backward", lambda *args: pytest.fail("backward ran"))
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"epoch 0, sample offset 0: non-finite loss"):
+        train(config, TrainConfig(epochs=1, batch_size=32, seed=0), prepared)
+
+
+def test_lookback_without_a_candidate_scale_trains_on_unit_patches():
+    prepared, config = small_problem(lookback=7)
+    assert config.patch_scales == (1,)
+    report, _ = train(config, TrainConfig(epochs=1, batch_size=32, seed=0), prepared)
+    assert len(report.epochs) == 1 and np.isfinite(report.test_mse)
+
+
 def test_channel_mismatch_rejected():
     prepared, config = small_problem()
     bad = ModelConfig(lookback=48, horizon=12, channels=3, patch_scales=(8, 12))
