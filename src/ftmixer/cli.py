@@ -183,6 +183,8 @@ def cmd_train(args, settings: dict) -> int:
         raw, settings["io"]["ratios"], model_config.lookback, model_config.horizon
     )
     out = _out_dir(settings)
+    for artifact in ("report.json", "losses.csv"):
+        da.require_writable(out / artifact)
     checkpoint = out / "checkpoint.ftm"
     report, _ = train(model_config, train_config, prepared, checkpoint_path=checkpoint)
     _write_json(out / "report.json", {"config": settings, "report": report.to_dict()})
@@ -298,6 +300,7 @@ def cmd_sweep(args, settings: dict) -> int:
     base_config = _model_config(settings, raw.channels, lookback=first, patch_scales=None)
     train_config = _train_config(settings)
     out = _out_dir(settings)
+    da.require_writable(out / "sweep.csv")
     rows = run_length_sweep(
         raw,
         settings["io"]["ratios"],

@@ -38,6 +38,7 @@ Conventions:
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -756,6 +757,21 @@ def _atomic_file(path, text: bool = False):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def require_writable(path) -> None:
+    """Raise now the :class:`ConfigError` that writing ``path`` through
+    :func:`_atomic_file` would raise because ``path`` is a directory or its
+    directory takes no new file.  ``path`` itself is left as it is."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    probe = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.remove(probe)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def load_arrays(path) -> tuple[dict[str, Array], dict]:

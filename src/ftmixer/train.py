@@ -1,4 +1,21 @@
-"""Training loop, evaluation sweep, early stopping, variant runners."""
+"""Training loop, evaluation sweep, early stopping, variant runners.
+
+:func:`train` and :func:`evaluate` set one malloc policy before their
+helper threads start (:func:`_set_malloc_policy`).  It applies to the
+whole process, for the rest of its life, and acts only where the C
+library is glibc (elsewhere it does nothing):
+
+- one malloc arena, so a helper thread allocates from the caller's heap
+  and what one thread frees another can reuse; a helper's own arena kept
+  what it freed resident, out of the caller's reach (arenas that threads
+  made before the first call stay in use);
+- fixed thresholds: a request under ``MALLOC_MMAP_THRESHOLD`` comes from
+  the heap, and up to ``MALLOC_TRIM_THRESHOLD`` of free memory stays at
+  its top, so the next step reuses what the last one freed instead of
+  returning it to the kernel and faulting it back in page by page.
+
+Importing the package changes no allocator setting.
+"""
 
 from __future__ import annotations
 
@@ -45,9 +62,39 @@ EVAL_BLOCK_BUDGET = 1 << 21
 # 13.1, 1176 KiB 18.0 / 14.0, 2352 KiB (the paper shape, B=32) 40.2 / 25.3.
 TRAIN_SHARD_MIN_BYTES = 1 << 19
 
-# glibc's malloc_trim (None elsewhere), which train() calls once its helper
-# threads are gone: their malloc arenas keep what they free resident.
-_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+# Bytes from which one malloc request gets its own mapping, which the kernel
+# takes back when it is freed.  Sweep, median minor faults per train() step
+# after the first at train_wide's shape (N=321, L=96, B=8, two shards, 16
+# steps), trim threshold 64 MiB, BLAS at 1 thread on 2 cores, 3 fresh
+# processes: 4 MiB 1.2k-2.0k, 8 MiB 0-1, 16 MiB 0, 32 MiB 0-22; the paper
+# shape took 0 at every size.  32 MiB, glibc's largest dynamic threshold,
+# leaves room for wider activations than these.
+MALLOC_MMAP_THRESHOLD = 32 << 20
+
+# Bytes of free memory the heap keeps at its top before it shrinks.  Sweep,
+# as above at a 32 MiB mmap threshold, median minor faults per step in the
+# first / a second train() call: 16 MiB 2.8k-3.6k / 3.4k-4.2k, 32 MiB
+# 3.4k-4.3k / 0-3.6k, 64 MiB 0-1 / 0-1, 128 MiB 0 / 0-1; glibc's defaults
+# (two arenas, dynamic thresholds) took 5.3k / 6.2k.
+MALLOC_TRIM_THRESHOLD = 64 << 20
+
+# glibc's mallopt (None elsewhere) and the parameter numbers of its malloc.h.
+_MALLOPT = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+if _MALLOPT is not None:
+    _MALLOPT.argtypes = (ctypes.c_int, ctypes.c_int)
+    _MALLOPT.restype = ctypes.c_int
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+
+
+def _set_malloc_policy() -> None:
+    """One malloc arena and fixed mmap and trim thresholds for the whole
+    process, through glibc's ``mallopt``; nothing without it.  See the
+    module docstring."""
+    if _MALLOPT is None:
+        return
+    _MALLOPT(_M_ARENA_MAX, 1)
+    _MALLOPT(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+    _MALLOPT(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -217,17 +264,11 @@ def evaluate(
             f"checkpoint expects {model_config.channels} channels, dataset has "
             f"{dataset.channels}"
         )
+    _set_malloc_policy()
     starts = window_samples(dataset, split, model_config.lookback, model_config.horizon)
     frozen = params.frozen()
     rows = max(1, EVAL_BLOCK_BUDGET // _window_bytes(model_config))
     workers = _workers()
-    # Allocate and free, untouched, 4x a block's widest activation: about
-    # the peak of its temporaries (8.2 MB at the paper shape).  Freeing a
-    # chunk glibc mapped for itself raises its mmap threshold to that size
-    # (up to 32 MiB) and its heap-trim threshold to twice it, so the blocks
-    # reuse heap pages instead of faulting fresh ones in: the first call in
-    # a fresh process at W=1 took 194k minor faults without this, 4.4k with.
-    np.empty(4 * rows * _window_bytes(model_config), np.uint8)
     sq_sum = 0.0
     abs_sum = 0.0
     elems = 0
@@ -336,7 +377,9 @@ def train(
     to ``checkpoint_path`` on every improvement when given) and reports
     test metrics from that checkpoint.  A non-finite loss or gradient
     aborts with a :class:`NumericError` that names the epoch and sample
-    offset; the last good checkpoint stays on disk.
+    offset; the last good checkpoint stays on disk.  A ``checkpoint_path``
+    that cannot be written (a directory, or in a directory that takes no
+    new file) raises :class:`ConfigError` before any training.
 
     Each batch of ``n`` windows runs as ``S = max(1, min(W, n, n * bytes
     // TRAIN_SHARD_MIN_BYTES))`` contiguous shards through
@@ -356,6 +399,9 @@ def train(
             f"model expects {model_config.channels} channels, dataset has "
             f"{dataset.channels}"
         )
+    if checkpoint_path is not None:
+        da.require_writable(checkpoint_path)
+    _set_malloc_policy()
     started = time.perf_counter()
     lookback, horizon = model_config.lookback, model_config.horizon
     train_starts = window_samples(dataset, "train", lookback, horizon)
@@ -452,8 +498,6 @@ def train(
         batch_size=train_config.eval_batch_size,
         ablation=ablation,
     )
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
     report.test_mse = test["mse"]
     report.test_mae = test["mae"]
     report.wall_seconds = time.perf_counter() - started

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import logging
 from dataclasses import fields
 
 import numpy as np
@@ -107,15 +108,26 @@ def test_output_that_cannot_be_a_directory_exits_1_before_training(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("artifact", ["report.json", "checkpoint.ftm"])
-def test_artifact_path_that_is_a_directory_exits_1(series_csv, tmp_path, capsys, artifact):
+@pytest.mark.parametrize(
+    "artifact", ["report.json", "losses.csv", "checkpoint.ftm", "sweep.csv"]
+)
+def test_artifact_path_that_is_a_directory_exits_1(
+    series_csv, tmp_path, capsys, caplog, artifact
+):
+    caplog.set_level(logging.INFO)
     out = tmp_path / "run"
     (out / artifact).mkdir(parents=True)
-    assert main(train_args(series_csv, out, extra=["--epochs", "1"])) == 1
+    if artifact == "sweep.csv":
+        args = ["sweep", "--data", str(series_csv), "--output", str(out),
+                "--lengths", "24,48", "--horizon", "12", "--epochs", "1"]
+    else:
+        args = train_args(series_csv, out, extra=["--epochs", "1"])
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert f"ftmixer: error: config: cannot write {out / artifact}:" in err
     assert "Traceback" not in err
     assert list(out.rglob("*.tmp")) == []
+    assert "epoch 0" not in caplog.text  # refused before any training
 
 
 def test_indivisible_patch_scale_exits_1(series_csv, tmp_path, capsys):

@@ -523,21 +523,66 @@ def test_train_helper_shard_error_names_epoch_and_offset_and_joins_threads(monke
     assert threading.active_count() == before
 
 
-def test_train_trims_the_heap_once_its_helper_threads_are_gone(monkeypatch):
-    prepared, config = small_problem(channels=2)
-    tc = TrainConfig(epochs=1, batch_size=32, seed=0)
+@pytest.mark.parametrize("where", ["directory", "missing/checkpoint.ftm"])
+def test_train_refuses_an_unwritable_checkpoint_path_before_training(
+    monkeypatch, tmp_path, where
+):
+    prepared, config = small_problem()
+    path = tmp_path / where
+    if where == "directory":
+        path.mkdir()
+
+    def step(*args, **kwargs):
+        raise AssertionError("trained before checking the checkpoint path")
+
+    monkeypatch.setattr(train_mod, "_batch_step", step)
+    with pytest.raises(ConfigError, match=f"cannot write {path}:"):
+        train(config, TrainConfig(epochs=1, batch_size=32, seed=0), prepared, path)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (
+        ["directory"] if where == "directory" else []
+    )
+
+
+# glibc's malloc.h: M_ARENA_MAX, M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+MALLOC_POLICY = [(-8, 1), (-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_train_and_evaluate_set_the_malloc_policy_before_their_helper_threads(
+    monkeypatch, eight_row_blocks
+):
+    prepared = wide_problem()
     monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 1)
     monkeypatch.setattr(train_mod, "_workers", lambda: 2)
     before = threading.active_count()
-    calls = []
+    caller = threading.get_ident()
+    calls, helper_forwards = [], []
+
+    def forward(*args, **kwargs):
+        helper_forwards.append(threading.get_ident() != caller)
+        return ftmixer_forward(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
     monkeypatch.setattr(
-        train_mod, "_MALLOC_TRIM", lambda pad: calls.append((pad, threading.active_count()))
+        train_mod, "_MALLOPT",
+        lambda param, value: calls.append((param, value, threading.active_count())),
     )
-    report, _ = train(config, tc, prepared)
-    assert calls == [(0, before)]
-    # a C library without malloc_trim trains the same
-    monkeypatch.setattr(train_mod, "_MALLOC_TRIM", None)
-    assert train(config, tc, prepared)[0].epochs == report.epochs
+    tc = TrainConfig(epochs=1, batch_size=32, seed=0)
+    report, params = train(WIDE, tc, prepared)
+    # set first with no helper thread alive, then again by each evaluate()
+    assert calls[:3] == [(param, value, before) for param, value in MALLOC_POLICY]
+    assert [call[:2] for call in calls] == MALLOC_POLICY * 3
+    assert any(helper_forwards)
+    calls.clear()
+    helper_forwards.clear()
+    metrics = evaluate(params, WIDE, prepared, "test")
+    assert calls == [(param, value, before) for param, value in MALLOC_POLICY]
+    assert any(helper_forwards)
+    # a C library without mallopt gives the same outputs
+    monkeypatch.setattr(train_mod, "_MALLOPT", None)
+    report_b, params_b = train(WIDE, tc, prepared)
+    assert report_b.epochs == report.epochs and report_b.test_mse == report.test_mse
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(params.all(), params_b.all()))
+    assert evaluate(params, WIDE, prepared, "test") == metrics
 
 
 @pytest.mark.parametrize("step", ["clip_global_norm", "adam_step"])
