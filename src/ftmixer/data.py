@@ -53,7 +53,6 @@ class NormStats:
 class SeriesDataset:
     name: str
     values: np.ndarray          # [N, T]
-    timestamps: tuple[str, ...]
     channel_names: tuple[str, ...]
     train_end: int | None = None
     val_end: int | None = None
@@ -80,7 +79,8 @@ class SeriesDataset:
 
 
 def load_csv(path, name: str | None = None) -> SeriesDataset:
-    """Read a timestamp + channels CSV into a channel-major dataset.
+    """Read a timestamp + channels CSV into a channel-major dataset; the
+    timestamps are not kept.
 
     Rejects missing files, text that is not UTF-8, empty or duplicate
     channel names, ragged rows, non-numeric cells, and non-finite values,
@@ -96,16 +96,14 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
                     raise ParseError("empty file", line=1)
                 channel_names = _channel_names(header)
                 offset = reader.line_num  # physical lines read so far
-                timestamps: list[str] = []
                 parts: list[np.ndarray] = []  # [rows, N] per block
                 while block := f.readlines(CSV_BLOCK_CHARS):
-                    parsed = _parse_plain(block, len(channel_names))
+                    part = _parse_plain(block, len(channel_names))
                     read = len(block)
-                    if parsed is None:  # a quoted record may run on past the block
-                        *parsed, read = _parse_rows(itertools.chain(block, f),
-                                                    len(channel_names), offset, read)
-                    timestamps += parsed[0]
-                    parts.append(parsed[1])
+                    if part is None:  # a quoted record may run on past the block
+                        part, read = _parse_rows(itertools.chain(block, f),
+                                                 len(channel_names), offset, read)
+                    parts.append(part)
                     offset += read
             except csv.Error as exc:  # the header's, e.g. a cell over csv.field_size_limit()
                 raise ParseError(str(exc), line=reader.line_num) from None
@@ -119,13 +117,12 @@ def load_csv(path, name: str | None = None) -> SeriesDataset:
                 raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
     except OSError as exc:
         raise DataError(f"cannot open dataset {path}: {exc}") from None
-    if not timestamps:
+    if not sum(map(len, parts)):
         raise ParseError("no data rows", line=2)
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if name is None:
         name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return SeriesDataset(name=name, values=values.T, timestamps=tuple(timestamps),
-                         channel_names=channel_names)
+    return SeriesDataset(name=name, values=values.T, channel_names=channel_names)
 
 
 def _channel_names(header: list[str]) -> tuple[str, ...]:
@@ -146,17 +143,16 @@ def _channel_names(header: list[str]) -> tuple[str, ...]:
 
 
 def _parse_plain(block: list[str], n: int):
-    """Timestamps and [rows, n] values of a plain block of lines, or None.
+    """The [rows, n] values of a plain block of lines, or None.
 
     One vectorized pass: ``np.loadtxt`` parses the channel columns of
-    every non-blank line and each line's first field is its timestamp.
-    Its result stands only if the block has no quote character, no
-    U+001C-U+001F (numpy skips those around a number, ``float()`` does
-    not) and no line over ``csv.field_size_limit()``, every non-blank
-    line has n commas, and every value is finite.  Both parsers end in
-    ``PyOS_string_to_double``, so the values are bitwise what
-    :func:`_parse_rows` gives.  Anything else returns None, and the row
-    reader decides.
+    every non-blank line.  Its result stands only if the block has no
+    quote character, no U+001C-U+001F (numpy skips those around a number,
+    ``float()`` does not) and no line over ``csv.field_size_limit()``,
+    every non-blank line has n commas, and every value is finite.  Both
+    parsers end in ``PyOS_string_to_double``, so the values are bitwise
+    what :func:`_parse_rows` gives.  Anything else returns None, and the
+    row reader decides.
     """
     # loadtxt skips blank lines; the lines keep their endings
     rows = len(block) - block.count("\n") - block.count("\r\n") - block.count("\r")
@@ -173,14 +169,14 @@ def _parse_plain(block: list[str], n: int):
     # commas; the total says none has more.
     if len(values) != rows or text.count(",") != n * rows or not np.isfinite(values).all():
         return None
-    return [line.partition(",")[0] for line in block if "," in line], values
+    return values
 
 
 def _parse_rows(lines, n: int, offset: int, stop: int):
-    """Timestamps, [rows, n] values and the number of lines read, row by
-    row from ``lines``: the file opened with ``newline=""``, from physical
-    line ``offset + 1`` on, up to the first record that ends at or after
-    its line ``stop``.
+    """The [rows, n] values and the number of lines read, row by row from
+    ``lines``: the file opened with ``newline=""``, from physical line
+    ``offset + 1`` on, up to the first record that ends at or after its
+    line ``stop``.
 
     The reference reader: ``csv.reader`` splits each row (quoted cells,
     any line end) and ``float()`` parses each cell, so it also takes
@@ -189,7 +185,6 @@ def _parse_rows(lines, n: int, offset: int, stop: int):
     """
     reader = csv.reader(lines)
     rows: list[list[float]] = []
-    timestamps: list[str] = []
     try:
         for row in reader:
             line = offset + reader.line_num
@@ -202,13 +197,12 @@ def _parse_rows(lines, n: int, offset: int, stop: int):
                     raise ParseError(f"non-numeric cell in {row[1:]!r}", line=line) from None
                 if not all(np.isfinite(parsed)):
                     raise ParseError("non-finite value", line=line)
-                timestamps.append(row[0])
                 rows.append(parsed)
             if reader.line_num >= stop:
                 break
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise ParseError(str(exc), line=offset + reader.line_num) from None
-    return timestamps, np.asarray(rows, dtype=np.float64).reshape(-1, n), reader.line_num
+    return np.asarray(rows, dtype=np.float64).reshape(-1, n), reader.line_num
 
 
 def from_values(values: np.ndarray, name: str = "series") -> SeriesDataset:
@@ -221,7 +215,6 @@ def from_values(values: np.ndarray, name: str = "series") -> SeriesDataset:
     return SeriesDataset(
         name=name,
         values=values,
-        timestamps=tuple(str(i) for i in range(values.shape[1])),
         channel_names=tuple(f"ch{i}" for i in range(values.shape[0])),
     )
 
@@ -304,7 +297,6 @@ class ForecastBatch:
 
     inputs: np.ndarray   # [B, N, L]
     targets: np.ndarray  # [B, N, tau]
-    starts: np.ndarray   # [B]
 
 
 def gather_batch(
@@ -336,7 +328,7 @@ def gather_batch(
     inputs, targets = windows[:, :, :lookback], windows[:, :, lookback:]
     if not run:
         inputs, targets = np.ascontiguousarray(inputs), np.ascontiguousarray(targets)
-    return ForecastBatch(inputs=inputs, targets=targets, starts=starts)
+    return ForecastBatch(inputs=inputs, targets=targets)
 
 
 def iter_batches(

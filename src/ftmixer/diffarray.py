@@ -778,9 +778,9 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
     """Inverse of :func:`save_arrays`.
 
     An unreadable, truncated or malformed file, one with bytes after its
-    last entry or that names an entry twice, or a version-2 file whose
-    checksum does not match, raises :class:`DataError`.  Version-1 files,
-    which carry no checksum, still load.
+    last entry or that names an entry twice, one whose checksum does not
+    match, or one of another version than :data:`CONTAINER_VERSION` (so a
+    version-1 file, which carries no checksum) raises :class:`DataError`.
     """
     try:
         with open(path, "rb") as f:
@@ -805,12 +805,11 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
         return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
     (version,) = unpack("<I")
-    if version not in (1, CONTAINER_VERSION):
+    if version != CONTAINER_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    if version == 2:
-        end -= 4
-        if end < off or raw[end:] != struct.pack("<I", zlib.crc32(memoryview(raw)[:end])):
-            raise DataError(f"{path}: checkpoint checksum mismatch (corrupt or cut file)")
+    end -= 4
+    if end < off or raw[end:] != struct.pack("<I", zlib.crc32(memoryview(raw)[:end])):
+        raise DataError(f"{path}: checkpoint checksum mismatch (corrupt or cut file)")
     (meta_len,) = unpack("<I")
     try:
         metadata = json.loads(take(meta_len))

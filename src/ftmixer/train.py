@@ -15,6 +15,14 @@ library is glibc (elsewhere it does nothing):
   returning it to the kernel and faulting it back in page by page.
 
 Importing the package changes no allocator setting.
+
+:func:`train` and :func:`evaluate` run a batch's shards or row blocks by
+``pool.map`` on a per-call ``ThreadPoolExecutor`` of :func:`_workers`
+threads (numpy releases the GIL in BLAS calls and ufunc loops); at
+``W = 1``, or for a batch of one item, the built-in ``map`` runs them on
+the calling thread (a pool starts its threads only on its first item).
+Results come in index order; the lowest failing index's error is raised
+as itself once every thread has ended.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import ctypes
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -207,32 +215,6 @@ def _window_bytes(model_config: ModelConfig) -> int:
     return 8 * model_config.channels * widest
 
 
-def _map(pool: ThreadPoolExecutor, workers: int, count: int, work) -> list:
-    """``[work(0), ..., work(count - 1)]``, run on the calling thread and on
-    ``min(workers, count) - 1`` helper threads of ``pool``, which take the
-    indices from one shared iterator; numpy releases the GIL inside BLAS
-    calls and ufunc loops, so the runs overlap.
-
-    Returns when every run has ended.  An error in any run is raised as
-    itself once they all have, the caller's before a helper's.
-    """
-    results: list = [None] * count
-    pending = iter(range(count))
-
-    def drain():
-        for i in pending:
-            results[i] = work(i)
-
-    running = [pool.submit(drain) for _ in range(min(workers, count) - 1)]
-    try:
-        drain()
-    finally:
-        wait(running)
-    for future in running:
-        future.result()
-    return results
-
-
 def evaluate(
     params: FtMixerParams,
     model_config: ModelConfig,
@@ -253,11 +235,10 @@ def evaluate(
     forwarded in consecutive row blocks of ``max(1, EVAL_BLOCK_BUDGET //
     _window_bytes(model_config))`` windows: 27 at the paper shape, the
     smallest of the fastest in the sweep given at ``EVAL_BLOCK_BUDGET``.
-    The blocks run through :func:`_map` on :func:`_workers` workers; each
-    copies its own input rows (the forward's entry copy), writes only its
-    own rows of the batch's prediction, and the errors are summed per
-    batch once every block is done, so the metrics are bit-identical for
-    any worker count.
+    Each block copies its own input rows (the forward's entry copy) and
+    writes only its own rows of the batch's prediction, and the errors are
+    summed per batch once every block is done, so the metrics are
+    bit-identical for any worker count.
     """
     if model_config.channels != dataset.channels:
         raise ConfigError(
@@ -272,8 +253,7 @@ def evaluate(
     sq_sum = 0.0
     abs_sum = 0.0
     elems = 0
-    # a pool starts its threads on first submit, so W = 1 starts none
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         for batch in iter_batches(
             dataset, starts, model_config.lookback, model_config.horizon, batch_size
         ):
@@ -285,7 +265,8 @@ def evaluate(
                     batch.inputs[lo : lo + rows], frozen, model_config, ablation=ablation
                 ).values
 
-            _map(pool, workers, -(-len(pred) // rows), block)
+            blocks = -(-len(pred) // rows)
+            list((map if min(workers, blocks) == 1 else pool.map)(block, range(blocks)))
             diff = pred
             diff -= batch.targets  # in place: the sums run over a C-ordered array
             sq_sum += float(np.sum(diff * diff))
@@ -332,9 +313,9 @@ def _batch_step(pool: ThreadPoolExecutor, workers: int, params: FtMixerParams, b
     """Loss components and gradients of one training batch, run as shards.
 
     The ``n`` windows are split into ``S`` contiguous shards of ``n_i``
-    windows (the rule is in :func:`train`), and :func:`_map` runs shard
-    ``i`` as :func:`_shard_step` on a fresh :meth:`~FtMixerParams.replica`
-    of ``params``, so ``params`` itself never holds a gradient.  Returns
+    windows (the rule is in :func:`train`), and shard ``i`` runs as
+    :func:`_shard_step` on a fresh :meth:`~FtMixerParams.replica` of
+    ``params``, so ``params`` itself never holds a gradient.  Returns
     ``((time_loss, freq_loss, total), grads)``, each the sum over the
     shards, in shard order, of ``n_i / n`` times the shard's own.  With
     ``S = 1`` they are the shard's own, untouched.
@@ -349,7 +330,7 @@ def _batch_step(pool: ThreadPoolExecutor, workers: int, params: FtMixerParams, b
         return _shard_step(params.replica(), batch.inputs[lo:hi], batch.targets[lo:hi],
                            model_config, ablation)
 
-    shards = _map(pool, workers, count, shard)
+    shards = list((map if count == 1 else pool.map)(shard, range(count)))
     weights = [(hi - lo) / n for lo, hi in zip(bounds, bounds[1:])]
     losses = tuple(
         sum(weight * shard[0][k] for weight, shard in zip(weights, shards)) for k in range(3)
@@ -418,8 +399,7 @@ def train(
     best_val = float("inf")
     best_values: list[np.ndarray] | None = None
     stale_epochs = 0
-    # a pool starts its threads on first submit, so W = 1 starts none
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         for epoch in range(train_config.epochs):
             order = rng.permutation(train_starts)
             time_sum = freq_sum = total_sum = 0.0
@@ -510,26 +490,23 @@ def run_length_sweep(
     lengths: tuple[int, ...],
     horizon: int,
     train_config: TrainConfig,
-    base_config: ModelConfig | None = None,
+    base_config: ModelConfig,
 ) -> list[dict]:
     """One trained model per lookback length; returns MSE/MAE table rows.
 
-    Each length's model config is ``base_config`` (default: the
-    ModelConfig defaults) at that lookback, ``horizon`` and the training
-    seed, with patch scales re-derived so every scale divides the length.
+    Each length's model config is ``base_config`` at that lookback,
+    ``horizon`` and the training seed, with patch scales re-derived so
+    every scale divides the length.
     """
     rows = []
     for lookback in lengths:
-        per_length = dict(
+        config = replace(
+            base_config,
             lookback=int(lookback),
             horizon=horizon,
             patch_scales=None,  # re-derived from each lookback
             seed=train_config.seed,
         )
-        if base_config is None:
-            config = ModelConfig(channels=raw_dataset.channels, **per_length)
-        else:
-            config = replace(base_config, **per_length)
         prepared = data_mod.prepare(raw_dataset, ratios, config.lookback, horizon)
         report, _ = train(config, train_config, prepared)
         log.info(

@@ -37,7 +37,6 @@ def test_load_csv_toy(tmp_path):
     assert ds.channels == 2 and ds.length == 3
     assert ds.channel_names == ("a", "b")
     np.testing.assert_array_equal(ds.values, [[1.0, 2.0, 3.0], [4.5, 5.5, 6.5]])
-    assert ds.timestamps == ("t0", "t1", "t2")
     assert ds.name == "toy"
 
 
@@ -97,7 +96,7 @@ def test_load_csv_line_ending_variants(tmp_path, text):
     path = tmp_path / "variant.csv"
     path.write_bytes(text.encode("utf-8"))
     ds = load_csv(path)
-    assert ds.channel_names == ("a", "b") and ds.timestamps == ("t0", "t1")
+    assert ds.channel_names == ("a", "b")
     np.testing.assert_array_equal(ds.values, [[1.0, 2.0], [4.0, 5.0]])
 
 
@@ -137,7 +136,7 @@ def load_outcome(path):
         ds = load_csv(path)
     except ParseError as exc:
         return "error", str(exc), exc.line
-    return "ok", ds.channel_names, ds.timestamps, ds.values.shape, ds.values.tobytes()
+    return "ok", ds.channel_names, ds.values.shape, ds.values.tobytes()
 
 
 ROWS_50 = b"".join(b"t%d,%d\n" % (i, i) for i in range(50))  # lines 2-51
@@ -252,7 +251,6 @@ def test_load_csv_reads_decimals_in_blocks_bitwise_like_one_block(tmp_path, monk
     monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", 1000)
     blocks = load_csv(path)
     assert blocks.values.tobytes() == whole.values.tobytes() == want.tobytes()
-    assert blocks.timestamps == whole.timestamps
 
 
 def plain_pass(text):
@@ -263,7 +261,7 @@ def plain_pass(text):
 
 def test_load_csv_takes_vectorized_pass_only_for_plain_files():
     text, want = decimal_csv(np.random.default_rng(1515))
-    assert plain_pass(text)[1].T.tobytes() == want.tobytes()
+    assert plain_pass(text).T.tobytes() == want.tobytes()
     assert plain_pass("date,a,b\r\nt0,1,2\r\n\r\nt1,3,4\r\n") is not None
     for text in ['date,a\n"t0",1\n', "date,a\nt0,1_0\n", "date,a\nt0,1,2\n",
                  "date,a\nt0,\x1f1\n", "date,a\nt0,inf\n", "date,a\n", ""]:
@@ -278,19 +276,19 @@ def test_load_csv_returns_to_the_vectorized_pass_after_a_quoted_row(tmp_path, mo
 
     def plain(block, n):
         parsed = parse_plain(block, n)
-        calls.append(("plain", len(block) if parsed else 0))
+        calls.append(("plain", 0 if parsed is None else len(block)))
         return parsed
 
     def rows(lines, *args):
         parsed = parse_rows(lines, *args)
-        calls.append(("rows", parsed[2]))
+        calls.append(("rows", parsed[1]))
         return parsed
 
     monkeypatch.setattr(data_mod, "_parse_plain", plain)
     monkeypatch.setattr(data_mod, "_parse_rows", rows)
     monkeypatch.setattr(data_mod, "CSV_BLOCK_CHARS", 64)
     ds = load_csv(path)
-    assert ds.timestamps == ("t", *(f"t{i}" for i in range(50)))
+    np.testing.assert_array_equal(ds.values, [[1, *range(50)]])
     # the quoted row's block goes to the row reader, and every later block is plain
     assert calls[0] == ("plain", 0) and calls[1][0] == "rows" and len(calls) > 4
     assert all(parser == "plain" and lines for parser, lines in calls[2:])
@@ -466,7 +464,7 @@ def test_windows_stay_inside_split_and_targets_adjacent():
         starts = window_samples(ds, split, lookback=6, horizon=3)
         assert starts.min() >= lo and starts.max() + 6 + 3 <= hi
         batch = gather_batch(ds, starts[:4], lookback=6, horizon=3)
-        for i, s in enumerate(batch.starts):
+        for i, s in enumerate(starts[:4]):
             np.testing.assert_array_equal(batch.inputs[i], ds.values[:, s : s + 6])
             np.testing.assert_array_equal(batch.targets[i], ds.values[:, s + 6 : s + 9])
 

@@ -628,7 +628,7 @@ def test_container_rejects_an_entry_name_given_twice(tmp_path):
         da.load_arrays(path)
 
 
-def test_container_writes_v1_layout_plus_crc_and_loads_v1(tmp_path):
+def test_container_writes_v1_layout_plus_crc_and_refuses_v1(tmp_path):
     arrays = {"w": np.arange(6.0).reshape(2, 3) / 7.0, "s": np.array(-2.5)}
     meta = {"epoch": 3, "note": "unit"}
 
@@ -643,10 +643,8 @@ def test_container_writes_v1_layout_plus_crc_and_loads_v1(tmp_path):
 
     old = tmp_path / "v1.ftm"
     old.write_bytes(layout(1))
-    loaded, loaded_meta = da.load_arrays(old)
-    assert loaded_meta == meta
-    assert {n: a.tobytes() for n, a in loaded.items()} == {
-        n: a.tobytes() for n, a in arrays.items()}
+    with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+        da.load_arrays(old)
     new = tmp_path / "v2.ftm"
     da.save_arrays(new, arrays, meta)
     body = layout(2)

@@ -164,7 +164,9 @@ def test_all_ablations_run():
 def test_length_sweep_rows_and_scale_validation():
     raw = sinusoid_dataset(steps=700, period=24.0)
     tc = TrainConfig(epochs=1, batch_size=64, seed=0)
-    rows = run_length_sweep(raw, RATIOS, lengths=(24, 48), horizon=12, train_config=tc)
+    base = ModelConfig(lookback=24, horizon=12, channels=raw.channels)
+    rows = run_length_sweep(raw, RATIOS, lengths=(24, 48), horizon=12, train_config=tc,
+                            base_config=base)
     assert [r["lookback"] for r in rows] == [24, 48]
     for row in rows:
         assert np.isfinite(row["mse"]) and np.isfinite(row["mae"])
@@ -384,19 +386,90 @@ def test_evaluate_raises_a_helper_error_as_itself_and_joins_its_threads(monkeypa
     evaluate(params, WIDE, prepared, "test")
     assert threading.active_count() == before
     caller = threading.get_ident()
-    helper_failed = threading.Event()
 
     def forward(x, *args, **kwargs):
         if threading.get_ident() != caller:
-            helper_failed.set()
             raise NumericError("helper block")
-        helper_failed.wait(timeout=10)  # let the helper take a block first
         return ftmixer_forward(x, *args, **kwargs)
 
     monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
     with pytest.raises(NumericError, match="helper block"):
         evaluate(params, WIDE, prepared, "test")
-    assert helper_failed.is_set()
+    assert threading.active_count() == before
+
+
+class ItemError(Exception):
+    """Raised by a chosen eval block or training shard; nothing catches it."""
+
+
+def noise_problem(config):
+    """A standardized random series for ``config``: no two windows share a row."""
+    raw = data_mod.from_values(np.random.default_rng(24).standard_normal((config.channels, 500)))
+    return data_mod.prepare(raw, RATIOS, config.lookback, config.horizon)
+
+
+def fail_lower_after_higher(monkeypatch, lower_row, higher_row, frozen):
+    """Patch train's forward on ``frozen`` (eval) or tracked (training)
+    params: the forward whose first input row is ``higher_row`` raises
+    at once, and the one whose first row is ``lower_row`` raises once it
+    has, so the lower index fails last.  Returns the raised errors."""
+    raised = {}
+    higher_failed = threading.Event()
+
+    def forward(x, params, *args, **kwargs):
+        if params.is_frozen == frozen:
+            if np.array_equal(x[0], higher_row):
+                raised["higher"] = ItemError("higher")
+                higher_failed.set()
+                raise raised["higher"]
+            if np.array_equal(x[0], lower_row):
+                assert higher_failed.wait(timeout=10), "the higher index never failed"
+                raised["lower"] = ItemError("lower")
+                raise raised["lower"]
+        return ftmixer_forward(x, params, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
+    return raised
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_evaluate_raises_the_lowest_failing_blocks_error_and_joins_its_threads(
+    monkeypatch, eight_row_blocks, workers
+):
+    prepared = noise_problem(WIDE)
+    params = FtMixerParams.initialize(WIDE)
+    starts = window_samples(prepared, "test", WIDE.lookback, WIDE.horizon)
+    assert len(starts) > 3 * 8  # one batch of at least four blocks
+    monkeypatch.setattr(train_mod, "_workers", lambda: workers)
+    first_row = [prepared.values[:, s : s + WIDE.lookback] for s in starts[::8]]
+    raised = fail_lower_after_higher(monkeypatch, first_row[1], first_row[3], frozen=True)
+    before = threading.active_count()
+    with pytest.raises(ItemError) as exc:
+        evaluate(params, WIDE, prepared, "test")
+    assert set(raised) == {"lower", "higher"} and exc.value is raised["lower"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_train_raises_the_lowest_failing_shards_error_and_joins_its_threads(
+    monkeypatch, workers
+):
+    _, config = small_problem(channels=2)
+    prepared = noise_problem(config)
+    tc = TrainConfig(epochs=1, batch_size=32, seed=0)
+    monkeypatch.setattr(train_mod, "TRAIN_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(train_mod, "_workers", lambda: workers)
+    order = np.random.default_rng(tc.seed).permutation(
+        window_samples(prepared, "train", config.lookback, config.horizon)
+    )
+    # the first batch's shards, the last two of which fail
+    first_row = [prepared.values[:, s : s + config.lookback]
+                 for s in order[[i * 32 // workers for i in range(workers)]]]
+    raised = fail_lower_after_higher(monkeypatch, first_row[-2], first_row[-1], frozen=False)
+    before = threading.active_count()
+    with pytest.raises(ItemError) as exc:
+        train(config, tc, prepared)
+    assert set(raised) == {"lower", "higher"} and exc.value is raised["lower"]
     assert threading.active_count() == before
 
 
@@ -506,20 +579,15 @@ def test_train_helper_shard_error_names_epoch_and_offset_and_joins_threads(monke
     train(config, tc, prepared)
     assert threading.active_count() == before
     caller = threading.get_ident()
-    helper_failed = threading.Event()
 
     def forward(x, params, *args, **kwargs):
         if not params.is_frozen and threading.get_ident() != caller:
-            helper_failed.set()
             raise NumericError("helper shard")
-        if not params.is_frozen:
-            helper_failed.wait(timeout=10)  # let the helper take a shard first
         return ftmixer_forward(x, params, *args, **kwargs)
 
     monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
     with pytest.raises(NumericError, match=r"epoch 0, sample offset 0: helper shard"):
         train(config, tc, prepared)
-    assert helper_failed.is_set()
     assert threading.active_count() == before
 
 
