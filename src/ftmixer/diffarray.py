@@ -23,8 +23,8 @@ Conventions:
 - :func:`backward` drops an interior node's gradient as soon as its
   closure has run, so after it returns only leaves hold a ``grad``
 - a matmul whose right operand is 2-D runs as one GEMM over the left
-  operand's flattened leading dims, forward and backward; so does
-  :func:`affine`, which adds its bias into the product in place
+  operand's flattened leading dims, forward and backward; a bias given
+  to :func:`matmul` is added into the product in place
 - no op writes into an operand's values, in its forward or its
   backward: an op writes only into arrays it allocated.  Leaf values
   change only between graphs, by an optimizer step such as
@@ -198,8 +198,15 @@ def div(a, b) -> DiffArray:
 # linear algebra
 
 
-def matmul(a, b) -> DiffArray:
-    """Matrix product; inputs need >= 2 dims, leading dims broadcast."""
+def matmul(a, b, bias=None) -> DiffArray:
+    """Matrix product ``a @ b``, plus ``bias`` if given; inputs need >= 2
+    dims, leading dims broadcast.
+
+    A bias needs a 2-D ``b`` and must broadcast against the product
+    without widening it.  It is added into the product in place, so no
+    separate product array is kept; values and gradients are those of
+    ``add(matmul(a, b), bias)``, bit for bit.
+    """
     a, b = _lift(a), _lift(b)
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise DimensionError(
@@ -217,6 +224,17 @@ def matmul(a, b) -> DiffArray:
         out = (a.values.reshape(-1, k) @ b.values).reshape(a.shape[:-1] + (n,))
     else:
         out = a.values @ b.values
+    parents = (a, b)
+    if bias is not None:
+        bias = _lift(bias)
+        try:
+            fits = gemm and np.broadcast_shapes(out.shape, bias.shape) == out.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DimensionError(f"matmul: bias {bias.shape} does not fit {a.shape} @ {b.shape}")
+        out += bias.values
+        parents = (a, b, bias)
 
     def backprop(g):
         if a.requires_grad:
@@ -229,40 +247,10 @@ def matmul(a, b) -> DiffArray:
                 _accum(b, a.values.reshape(-1, k).T @ g.reshape(-1, n))
             else:
                 _accum(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape))
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape))
 
-    return _node(out, (a, b), backprop)
-
-
-def affine(x, w, b) -> DiffArray:
-    """``x @ w + b`` as one node, for a 2-D ``w`` and a ``b`` that
-    broadcasts against the product without widening it.
-
-    The bias is added into the product in place, so no separate product
-    array is kept; values and gradients are those of ``add(matmul(x, w),
-    b)``, bit for bit.
-    """
-    x, w, b = _lift(x), _lift(w), _lift(b)
-    if x.values.ndim < 2 or w.values.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"affine: cannot apply {x.shape} @ {w.shape}")
-    k, n = w.shape
-    out_shape = x.shape[:-1] + (n,)
-    try:
-        fits = np.broadcast_shapes(out_shape, b.shape) == out_shape
-    except ValueError:
-        fits = False
-    if not fits:
-        raise DimensionError(f"affine: bias {b.shape} does not fit the product {out_shape}")
-    out = (x.values.reshape(-1, k) @ w.values).reshape(out_shape)
-    out += b.values
-
-    def backprop(g):
-        if x.requires_grad:
-            _accum(x, (g.reshape(-1, n) @ w.values.T).reshape(x.shape))
-        if w.requires_grad:
-            _accum(w, x.values.reshape(-1, k).T @ g.reshape(-1, n))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    return _node(out, (x, w, b), backprop)
+    return _node(out, parents, backprop)
 
 
 def same_conv_matrix(taps, length: int) -> DiffArray:
@@ -463,33 +451,27 @@ def concat(parts: Sequence, axis: int = -1) -> DiffArray:
 # reductions and elementwise nonlinearities
 
 
-def _expand_reduced(g: Array, shape: tuple[int, ...], axis, keepdims: bool) -> Array:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def reduce_sum(x, axis=None, keepdims: bool = False) -> DiffArray:
+def reduce_sum(x, axis=None) -> DiffArray:
+    """Sum over ``axis``, kept as size 1; over everything to a scalar
+    without one."""
     x = _lift(x)
-    out = np.sum(x.values, axis=axis, keepdims=keepdims)
+    out = np.sum(x.values, axis=axis, keepdims=axis is not None)
 
     def backprop(g):
-        _accum(x, _expand_reduced(g, x.shape, axis, keepdims))
+        _accum(x, np.broadcast_to(g, x.shape))
 
     return _node(out, (x,), backprop)
 
 
-def reduce_mean(x, axis=None, keepdims: bool = False) -> DiffArray:
+def reduce_mean(x, axis=None) -> DiffArray:
+    """Mean over ``axis``, kept as size 1; over everything to a scalar
+    without one."""
     x = _lift(x)
-    out = np.mean(x.values, axis=axis, keepdims=keepdims)
-    count = x.values.size if axis is None else x.values.size // out.size if out.size else 1
+    out = np.mean(x.values, axis=axis, keepdims=axis is not None)
+    count = x.values.size // out.size if out.size else 1
 
     def backprop(g):
-        _accum(x, _expand_reduced(g / count, x.shape, axis, keepdims))
+        _accum(x, np.broadcast_to(g / count, x.shape))
 
     return _node(out, (x,), backprop)
 

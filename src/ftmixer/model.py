@@ -330,9 +330,9 @@ def revin_normalize(x, epsilon: float) -> tuple[DiffArray, RevinState]:
     x = da._lift(x)
     if x.values.ndim < 2 or x.shape[-1] < 2:
         raise ContractError(f"revin_normalize: need [..., N, L>=2], got {x.shape}")
-    mean = da.reduce_mean(x, axis=-1, keepdims=True)
+    mean = da.reduce_mean(x, axis=-1)
     centered = da.sub(x, mean)
-    var = da.reduce_mean(da.mul(centered, centered), axis=-1, keepdims=True)
+    var = da.reduce_mean(da.mul(centered, centered), axis=-1)
     std = da.sqrt(da.clamp_min(var, epsilon * epsilon))
     return da.div(centered, std), RevinState(mean=mean, std=std)
 
@@ -363,8 +363,7 @@ def _fold_head(params: FtMixerParams, branch: str, weight, bias_row):
     )
 
 
-def fcc_forward(x, params: FtMixerParams, config: ModelConfig, *,
-                head: bool = False) -> DiffArray:
+def fcc_forward(x, params: FtMixerParams, config: ModelConfig) -> DiffArray:
     """Global branch: [..., N, L] -> [..., N, D_f].
 
     Per-channel spectrum over the full window, shared linear embedding
@@ -373,10 +372,11 @@ def fcc_forward(x, params: FtMixerParams, config: ModelConfig, *,
     ``idct(T_N(k) @ (x @ (F_L @ W) + b))``: the spectrum folds into the
     embedding and the channel conv is its banded matrix T_N(k).
 
-    With ``head`` the branch's share of the prediction head (``pred_w``,
-    not its bias) is applied too, giving [..., N, tau]: the inverse
-    transform and ``pred_w`` fold into the embedding, ``T_N(k) @ (x @ A
-    + c)`` with ``A = F_L @ W @ F^-1 @ P`` and ``c = b @ F^-1 @ P``.
+    On a frozen set (:attr:`FtMixerParams.is_frozen`) the branch's share
+    of the prediction head (``pred_w``, not its bias) is applied too,
+    giving [..., N, tau]: the inverse transform and ``pred_w`` fold into
+    the embedding, ``T_N(k) @ (x @ A + c)`` with ``A = F_L @ W @ F^-1 @
+    P`` and ``c = b @ F^-1 @ P``.
     """
     x = da._lift(x)
     if x.shape[-2:] != (config.channels, config.lookback):
@@ -387,17 +387,17 @@ def fcc_forward(x, params: FtMixerParams, config: ModelConfig, *,
     across = params.fold("fcc_across", lambda: da.same_conv_matrix(
         params["fcc_conv_k"], config.channels))
     spectrum = spectral.basis_pair(config.lookback)[0]
-    if head:
+    if params.is_frozen:
         inverse = spectral.basis_pair(config.fcc_embed_dim)[1]
         embed, bias = _fold_head(
             params, "fcc",
             lambda: da.matmul(da.matmul(spectrum, params["fcc_embed_w"]), inverse),
             lambda: da.matmul(da.reshape(params["fcc_embed_b"], (1, -1)), inverse),
         )
-        return da.matmul(across, da.affine(x, embed, bias))
+        return da.matmul(across, da.matmul(x, embed, bias))
     spectrum_embed = params.fold("fcc_spectrum_embed", lambda: da.matmul(
         spectrum, params["fcc_embed_w"]))
-    embedded = da.affine(x, spectrum_embed, params["fcc_embed_b"])
+    embedded = da.matmul(x, spectrum_embed, params["fcc_embed_b"])
     return spectral.idct(da.matmul(across, embedded))
 
 
@@ -431,11 +431,10 @@ def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
         return da.matmul(da.add(np.eye(scale), spectral_mix), embed_w)
 
     patch_map = params.fold(f"wfc_patch_map_{scale}", build_patch_map)
-    return da.affine(patches, patch_map, embed_b)
+    return da.matmul(patches, patch_map, embed_b)
 
 
-def ds_conv(z, params: FtMixerParams, config: ModelConfig, *,
-            head: bool = False) -> DiffArray:
+def ds_conv(z, params: FtMixerParams, config: ModelConfig) -> DiffArray:
     """Separable-convolution mixer: [..., N, n_tot, D_p] -> [..., N, D_f].
 
     :func:`diffarray.separable_conv` runs the depthwise conv (``ds_dw_k``,
@@ -444,7 +443,7 @@ def ds_conv(z, params: FtMixerParams, config: ModelConfig, *,
     per-channel projection of the flattened patch features then aligns
     the output with the global branch.
 
-    With ``head`` the branch's share of the prediction head (``pred_w``,
+    On a frozen set the branch's share of the prediction head (``pred_w``,
     not its bias) is folded into the projection, giving [..., N, tau]:
     ``flat @ (W_ds @ P) + b_ds @ P``.
     """
@@ -458,14 +457,14 @@ def ds_conv(z, params: FtMixerParams, config: ModelConfig, *,
                               segment=config.channels * n_tot)
     flat_dim = n_tot * dp
     flat = da.reshape(mixed, mixed.shape[:-2] + (flat_dim,))
-    if head:
+    if params.is_frozen:
         proj, bias = _fold_head(
             params, "ds",
             lambda: params["ds_proj_w"],
             lambda: da.reshape(params["ds_proj_b"], (1, -1)),
         )
-        return da.affine(flat, proj, bias)
-    return da.affine(flat, params["ds_proj_w"], params["ds_proj_b"])
+        return da.matmul(flat, proj, bias)
+    return da.matmul(flat, params["ds_proj_w"], params["ds_proj_b"])
 
 
 def ftmixer_forward(x, params: FtMixerParams, config: ModelConfig,
@@ -495,18 +494,17 @@ def ftmixer_forward(x, params: FtMixerParams, config: ModelConfig,
         raise NumericError("ftmixer_forward: input contains non-finite values")
     normalized, state = revin_normalize(x, config.revin_epsilon)
 
-    head = params.is_frozen  # the branches apply pred_w themselves
     z = None
     if ablation != "no_fcc":
-        z = fcc_forward(normalized, params, config, head=head)
+        z = fcc_forward(normalized, params, config)
     if ablation != "no_wfc":
         per_scale = [wfc_forward(normalized, params, w) for w in config.patch_scales]
         local = per_scale[0] if len(per_scale) == 1 else da.concat(per_scale, axis=-2)
-        z_ds = ds_conv(local, params, config, head=head)
+        z_ds = ds_conv(local, params, config)
         z = z_ds if z is None else da.add(z, z_ds)
 
-    if head:
+    if params.is_frozen:  # the branches applied pred_w themselves
         predicted = da.add(z, params["pred_b"])
     else:
-        predicted = da.affine(z, params["pred_w"], params["pred_b"])
+        predicted = da.matmul(z, params["pred_w"], params["pred_b"])
     return revin_denormalize(predicted, state)

@@ -12,11 +12,12 @@ All transforms are plain matrix applications against a cached cosine
 basis; lengths stay small enough here that an O(L^2) product beats a
 fast-transform code path and keeps gradients trivially exact.
 
-:func:`dct` and :func:`idct` accept either ndarrays or
-:class:`~ftmixer.diffarray.DiffArray` values and apply the transform
-along the last axis; with a DiffArray input the transform joins the
-computation graph as a fixed linear map.  :func:`basis_pair` exposes the
-bases themselves, which the model folds into its learned matrices.
+:func:`dct` and :func:`idct` accept ndarrays, or
+:class:`~ftmixer.diffarray.DiffArray` values of at least 2 dims, and apply
+the transform along the last axis; with a DiffArray input the transform
+joins the computation graph as a fixed linear map.  :func:`basis_pair`
+exposes the bases themselves, which the model folds into its learned
+matrices.
 """
 
 from __future__ import annotations
@@ -55,11 +56,7 @@ def _validate(values: Array, op: str) -> None:
 def _apply_basis(x, which: int, op: str):
     if isinstance(x, da.DiffArray):
         _validate(x.values, op)
-        basis = basis_pair(x.shape[-1])[which]
-        if x.values.ndim == 1:
-            flat = da.matmul(da.reshape(x, (1, x.shape[-1])), basis)
-            return da.reshape(flat, x.shape)
-        return da.matmul(x, basis)
+        return da.matmul(x, basis_pair(x.shape[-1])[which])
     arr = np.asarray(x, dtype=np.float64)
     _validate(arr, op)
     return arr @ basis_pair(arr.shape[-1])[which]

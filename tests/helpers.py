@@ -199,4 +199,4 @@ def ds_conv_composition(z, params, config) -> DiffArray:
     mixed = separable_conv_composition(z, params["ds_dw_k"], params["ds_pw_k"],
                                        config.channels * n_tot)
     flat = da.reshape(mixed, mixed.shape[:-2] + (n_tot * dp,))
-    return da.affine(flat, params["ds_proj_w"], params["ds_proj_b"])
+    return da.matmul(flat, params["ds_proj_w"], params["ds_proj_b"])

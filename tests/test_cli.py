@@ -329,6 +329,48 @@ def _single_error_line(err: str, kind: str) -> None:
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("config,code,kind", [
+    ("missing.ini", 2, "data"),
+    ("a_directory", 2, "data"),
+    ("unknown_section.ini", 1, "config"),
+])
+def test_config_file_that_cannot_be_read_or_names_an_unknown_section(
+        series_csv, tmp_path, capsys, config, code, kind):
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "unknown_section.ini").write_text("[optimizer]\nmomentum = 0.9\n",
+                                                  encoding="utf-8")
+    extra = ["--config", str(tmp_path / config)]
+    assert main(train_args(series_csv, tmp_path / "out", extra=extra)) == code
+    _single_error_line(capsys.readouterr().err, kind)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"],
+                         ids=["train_without_data", "eval_without_checkpoint"])
+def test_command_without_its_input_exits_1(tmp_path, capsys, command):
+    assert main([command, "--output", str(tmp_path / "out")]) == 1
+    _single_error_line(capsys.readouterr().err, "config")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--start", "-1"],
+    ["predict", "--start", "341"],  # 400 rows, a window of 48 + 12
+    ["spectrum", "--start", "-1", "--len", "48"],
+    ["spectrum", "--start", "353", "--len", "48"],
+    ["spectrum", "--len", "0"],
+], ids=["predict_before", "predict_past", "spectrum_before", "spectrum_past", "spectrum_empty"])
+def test_window_out_of_range_exits_1(series_csv, tmp_path, capsys, argv):
+    path = tmp_path / "checkpoint.ftm"
+    config = ModelConfig(lookback=48, horizon=12, channels=2, patch_scales=(12, 24))
+    save_checkpoint(path, FtMixerParams.initialize(config))
+    if argv[0] == "predict":
+        argv = [*argv, "--checkpoint", str(path)]
+    assert main([*argv, "--data", str(series_csv), "--output", str(tmp_path / "out")]) == 1
+    _single_error_line(capsys.readouterr().err, "config")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra,ini", [
     (["--ratios", "nan,0.5,0.5"], ""),
     ([], "[io]\nratios = nan,0.5,0.5\n"),

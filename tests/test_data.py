@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, standardization, and windowing."""
 
+import csv
 import io
 import random
 
@@ -128,6 +129,22 @@ def test_load_csv_cell_over_csv_field_limit_is_parse_error(tmp_path):
     with pytest.raises(ParseError, match="field larger than field limit") as exc:
         load_csv(path)
     assert exc.value.line == 3
+
+
+def test_load_csv_header_cell_over_csv_field_limit_is_parse_error(tmp_path):
+    path = tmp_path / "long_header.csv"
+    path.write_text("date," + "a" * (csv.field_size_limit() + 1) + "\nt0,1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="field larger than field limit") as exc:
+        load_csv(path)
+    assert exc.value.line == 1
+
+
+def test_load_csv_rejects_a_one_cell_header(tmp_path):
+    path = tmp_path / "one_cell.csv"
+    path.write_text("date\nt0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="at least one channel") as exc:
+        load_csv(path)
+    assert exc.value.line == 1
 
 
 def load_outcome(path):
@@ -403,6 +420,20 @@ def test_split_rejects_degenerate_ratios():
 def test_split_rejects_non_finite_ratios(ratios):
     with pytest.raises(ConfigError, match="finite"):
         chronological_split(toy_dataset(), ratios)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda ds: ds.split_bounds("train"), ContractError, "no split"),
+    (lambda ds: chronological_split(ds, (0.6, 0.2, 0.2)).split_bounds("holdout"), ConfigError,
+     "unknown split 'holdout'"),
+    (standardize, ContractError, "no training statistics"),
+    (lambda ds: next(iter_batches(ds, np.arange(4), 8, 2, batch_size=0)), ConfigError,
+     "batch_size must be >= 1"),
+], ids=["split_bounds_before_split", "unknown_split", "standardize_without_stats",
+        "zero_batch_size"])
+def test_dataset_steps_out_of_order_or_out_of_range_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call(toy_dataset())
 
 
 def test_split_rejects_short_segments():

@@ -9,7 +9,7 @@ import pytest
 
 from ftmixer import diffarray as da
 from ftmixer.diffarray import AdamState, DiffArray, adam_step, backward
-from ftmixer.errors import ContractError, DataError, DimensionError, NumericError
+from ftmixer.errors import ConfigError, ContractError, DataError, DimensionError, NumericError
 
 from helpers import (
     assert_grads_match,
@@ -85,6 +85,17 @@ def test_matmul_identity_and_selection():
 def test_matmul_inner_dim_mismatch():
     with pytest.raises(DimensionError):
         da.matmul(DiffArray(np.zeros((4, 3))), DiffArray(np.zeros((5, 2))))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3,), (3, 2)), ((4, 3), (3,))])
+def test_matmul_rejects_a_1d_operand(a_shape, b_shape):
+    with pytest.raises(DimensionError, match="at least 2 dims"):
+        da.matmul(np.zeros(a_shape), np.zeros(b_shape))
+
+
+def test_concat_of_no_parts_is_a_contract_error():
+    with pytest.raises(ContractError, match="at least one array"):
+        da.concat([])
 
 
 def test_matmul_gradients_random():
@@ -317,7 +328,7 @@ def test_reductions_and_nonlinearities_gradients():
 
     def forward():
         s = da.sqrt(da.clamp_min(x, 0.5))
-        m = da.reduce_mean(s, axis=-1, keepdims=True)
+        m = da.reduce_mean(s, axis=-1)
         return da.reduce_sum(silu(da.sub(s, m)))
 
     loss = forward()
@@ -449,7 +460,7 @@ def test_affine_equals_matmul_then_add_bit_for_bit(x_shape, b_shape):
               rng.standard_normal(b_shape)]
     weights = rng.standard_normal(x_shape[:-1] + (2,))
     results = []
-    for op in (da.affine, lambda x, w, b: da.add(da.matmul(x, w), b)):
+    for op in (da.matmul, lambda x, w, b: da.add(da.matmul(x, w), b)):
         leaves = [tracked(v.copy()) for v in values]
         out = op(*leaves)
         backward(da.reduce_sum(da.mul(out, weights)))
@@ -467,7 +478,7 @@ def test_affine_equals_matmul_then_add_bit_for_bit(x_shape, b_shape):
 ])
 def test_affine_rejects_shapes_it_cannot_apply(x_shape, w_shape, b_shape):
     with pytest.raises(DimensionError):
-        da.affine(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+        da.matmul(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
 
 
 def test_graph_determinism():
@@ -528,6 +539,20 @@ def test_adam_rejects_nan_and_leaves_params_untouched():
         adam_step([p], [np.array([np.nan])], state)
     np.testing.assert_array_equal(p.values, snapshot)
     assert state.step_count == 1
+
+
+@pytest.mark.parametrize("grads, state, error, match", [
+    ([np.ones(2)], AdamState(), ContractError, "2 params but 1 grads"),
+    ([np.ones(2), np.ones(2)], AdamState(), DimensionError,
+     r"grad shape \(2,\) != param shape \(3,\)"),
+    ([np.ones(2), np.ones(3)], AdamState(first_moment=[np.zeros(2)], second_moment=[np.zeros(2)]),
+     ContractError, "different parameter set"),
+], ids=["grad_count", "grad_shape", "state_of_another_set"])
+def test_adam_rejects_grads_or_state_that_do_not_match_the_params(grads, state, error, match):
+    params = [tracked(np.ones(2)), tracked(np.ones(3))]
+    with pytest.raises(error, match=match):
+        adam_step(params, grads, state)
+    assert all((p.values == 1.0).all() for p in params)
 
 
 def test_adam_chunks_match_whole_array_update_bitwise():
@@ -604,28 +629,59 @@ def test_container_rejects_foreign_file(tmp_path):
         da.load_arrays(path)
 
 
+def v2_container(meta: bytes, entries, tail: bytes = b"") -> bytes:
+    """A version-2 file with a valid checksum: the metadata bytes ``meta``,
+    a one-value entry per (name bytes, value) of ``entries``, then ``tail``."""
+    raw = b"FTMX" + struct.pack("<II", 2, len(meta)) + meta + struct.pack("<I", len(entries))
+    for name, value in entries:
+        raw += struct.pack("<H", len(name)) + name + struct.pack("<BId", 1, 1, value)
+    raw += tail
+    return raw + struct.pack("<I", zlib.crc32(raw))
+
+
 @pytest.mark.parametrize("meta,name", [
     (b"{bad json", b"w"),
     (b"[1, 2]", b"w"),
     (b"{}", b"\xff\xfe"),
 ])
 def test_container_malformed_metadata_or_name_raises_data_error(tmp_path, meta, name):
-    raw = b"FTMX" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", 1)
-    raw += struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 1) + b"\0" * 8
     path = tmp_path / "bad.ftm"
-    path.write_bytes(raw)
-    with pytest.raises(DataError):
+    path.write_bytes(v2_container(meta, [(name, 0.0)]))
+    match = {b"{bad json": "not valid JSON", b"[1, 2]": "not a JSON object"}.get(meta, "not UTF-8")
+    with pytest.raises(DataError, match=match):
         da.load_arrays(path)
 
 
 def test_container_rejects_an_entry_name_given_twice(tmp_path):
-    raw = b"FTMX" + struct.pack("<II", 2, 2) + b"{}" + struct.pack("<I", 2)
-    for value in (1.0, 2.0):
-        raw += struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1) + struct.pack("<d", value)
     path = tmp_path / "twice.ftm"
-    path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+    path.write_bytes(v2_container(b"{}", [(b"w", 1.0), (b"w", 2.0)]))
     with pytest.raises(DataError, match="names entry 'w' twice"):
         da.load_arrays(path)
+
+
+def test_container_rejects_bytes_after_the_last_entry(tmp_path):
+    path = tmp_path / "tail.ftm"
+    path.write_bytes(v2_container(b"{}", [(b"w", 1.5)]))
+    arrays, meta = da.load_arrays(path)
+    assert meta == {} and arrays["w"].tolist() == [1.5]
+    path.write_bytes(v2_container(b"{}", [(b"w", 1.5)], tail=b"\0\0\0"))
+    with pytest.raises(DataError, match="3 unexpected bytes after the last entry"):
+        da.load_arrays(path)
+
+
+def test_container_load_of_a_directory_raises_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read checkpoint"):
+        da.load_arrays(tmp_path)
+
+
+@pytest.mark.parametrize("target", ["missing/model.ftm", "taken"])
+def test_container_save_to_a_missing_directory_or_onto_a_directory_raises_config_error(
+        tmp_path, target):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(ConfigError, match="cannot write"):
+        da.save_arrays(tmp_path / target, {"w": np.zeros(2)})
+    assert [f.name for f in tmp_path.iterdir()] == ["taken"]  # no temp file left
+    assert not any((tmp_path / "taken").iterdir())
 
 
 def test_container_writes_v1_layout_plus_crc_and_refuses_v1(tmp_path):

@@ -95,6 +95,21 @@ def test_config_rejects_bad_dims():
                            **bad})
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"lookback": 1, "patch_scales": (1,)}, "lookback must be >= 2"),
+    ({"patch_scales": ()}, "must not be empty"),
+    ({"patch_scales": (6, 6)}, "duplicate patch scales"),
+    ({"wfc_kernel_size": 0}, "wfc_kernel_size must be >= 1"),
+    ({"ds_dw_kernel_size": 0}, "ds_dw_kernel_size must be >= 1"),
+    ({"fcc_kernel_size": 0}, "fcc_kernel_size must be >= 1"),
+], ids=["short_lookback", "no_scales", "duplicate_scales", "wfc_kernel", "ds_kernel",
+        "fcc_kernel"])
+def test_config_rejects_scales_and_kernels_out_of_range(change, match):
+    with pytest.raises(ConfigError, match=match):
+        ModelConfig(**{"lookback": 24, "horizon": 4, "channels": 2, "patch_scales": (6,),
+                       **change})
+
+
 def test_config_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         ModelConfig(lookback=24, horizon=4, channels=2, patch_scales=(6,), seed=-1)
@@ -162,6 +177,12 @@ def test_revin_zero_prediction_returns_means():
     np.testing.assert_allclose(out.values, np.repeat(state.mean.values, 3, axis=-1), atol=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(8,), (3, 1)])
+def test_revin_normalize_rejects_a_shape_without_channels_or_a_one_point_window(shape):
+    with pytest.raises(ContractError, match="revin_normalize"):
+        revin_normalize(np.zeros(shape), epsilon=1e-5)
+
+
 def test_revin_denormalize_channel_mismatch():
     x = DiffArray(np.zeros((3, 8)))
     _, state = revin_normalize(x, epsilon=1e-5)
@@ -202,6 +223,13 @@ def test_fcc_additivity_without_bias():
         assert np.max(np.abs(joint - split)) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(24,), (3, 24), (2, 12), (4, 3, 24)])
+def test_forward_rejects_a_shape_other_than_channels_by_lookback(shape):
+    params = FtMixerParams.initialize(TINY)
+    with pytest.raises(DimensionError, match="ftmixer_forward"):
+        ftmixer_forward(np.zeros(shape), params, TINY)
+
+
 def test_fcc_shape_mismatch():
     params = FtMixerParams.initialize(TINY)
     with pytest.raises(DimensionError):
@@ -240,6 +268,12 @@ def test_wfc_rejects_indivisible_scale():
         wfc_forward(DiffArray(np.zeros(24)), params, scale=7)
     with pytest.raises(ConfigError):
         wfc_forward(DiffArray(np.zeros(24)), params, scale=48)
+
+
+def test_wfc_at_a_scale_without_parameters_is_config_error():
+    params = FtMixerParams.initialize(TINY)
+    with pytest.raises(ConfigError, match="no parameters for scale 4"):
+        wfc_forward(DiffArray(np.zeros(24)), params, scale=4)
 
 
 def test_wfc_gradients():
@@ -563,7 +597,7 @@ def test_fcc_head_fold_matches_branch_then_head(config):
     params = FtMixerParams.initialize(config)
     x = np.random.default_rng(40).standard_normal((3, config.channels, config.lookback))
     expected = fcc_forward(DiffArray(x), params, config).values @ params["pred_w"].values
-    out = fcc_forward(DiffArray(x), params.frozen(), config, head=True)
+    out = fcc_forward(DiffArray(x), params.frozen(), config)
     assert out.shape == (3, config.channels, config.horizon)
     assert np.max(np.abs(out.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -574,7 +608,7 @@ def test_ds_conv_head_fold_matches_branch_then_head(config):
     z = np.random.default_rng(41).standard_normal(
         (3, config.channels, config.total_patches, config.patch_embed_dim))
     expected = ds_conv(DiffArray(z), params, config).values @ params["pred_w"].values
-    out = ds_conv(DiffArray(z), params.frozen(), config, head=True)
+    out = ds_conv(DiffArray(z), params.frozen(), config)
     assert out.shape == (3, config.channels, config.horizon)
     assert np.max(np.abs(out.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -689,6 +723,19 @@ def test_param_count_matches_hand_count():
         assert actual == param_count(config)
         shapes = parameter_shapes(config)
         assert sum(int(np.prod(s)) for s, _ in shapes.values()) == param_count(config)
+
+
+@pytest.mark.parametrize("drop, add, match", [
+    ("pred_b", None, r"missing=\['pred_b'\] extra=\[\]"),
+    (None, "pred_c", r"missing=\[\] extra=\['pred_c'\]"),
+], ids=["missing", "extra"])
+def test_params_with_missing_or_extra_names_are_a_contract_error(drop, add, match):
+    entries = {name: da.parameter(np.zeros(shape)) for name, (shape, _) in
+               parameter_shapes(TINY).items() if name != drop}
+    if add:
+        entries[add] = da.parameter(np.zeros(1))
+    with pytest.raises(ContractError, match=match):
+        FtMixerParams(TINY, entries)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

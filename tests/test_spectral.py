@@ -5,7 +5,7 @@ import pytest
 
 from ftmixer import diffarray as da
 from ftmixer import spectral
-from ftmixer.errors import ContractError, NumericError
+from ftmixer.errors import ContractError, DimensionError, NumericError
 from ftmixer.spectral import dct, idct
 
 from helpers import assert_grads_match, dft_symmetric_extension_oracle, tracked
@@ -89,26 +89,29 @@ def test_transform_applies_along_last_axis():
 
 def test_diff_gradients_are_transpose_maps():
     rng = np.random.default_rng(15)
-    x = tracked(rng.standard_normal(12))
+    x = tracked(rng.standard_normal((1, 12)))
     r = rng.standard_normal(12)
     da.backward(da.reduce_sum(da.mul(dct(x), r)))
     forward_basis = spectral.basis_pair(12)[0]
-    np.testing.assert_allclose(x.grad, forward_basis @ r, atol=1e-12)
+    np.testing.assert_allclose(x.grad[0], forward_basis @ r, atol=1e-12)
 
     def loss_fn():
         return float(np.sum(dct(x.values) * r))
 
     assert_grads_match(loss_fn, [x], tol=1e-6)
 
-    y = tracked(rng.standard_normal(12))
+    y = tracked(rng.standard_normal((1, 12)))
     da.backward(da.reduce_sum(da.mul(idct(y), r)))
     inverse_basis = spectral.basis_pair(12)[1]
-    np.testing.assert_allclose(y.grad, inverse_basis @ r, atol=1e-12)
+    np.testing.assert_allclose(y.grad[0], inverse_basis @ r, atol=1e-12)
 
     def loss_fn_inv():
         return float(np.sum(idct(y.values) * r))
 
     assert_grads_match(loss_fn_inv, [y], tol=1e-6)
+    for transform in (dct, idct):  # a DiffArray needs a leading dim
+        with pytest.raises(DimensionError):
+            transform(tracked(r))
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,13 @@ def test_channel_mismatch_rejected():
         train(bad, TrainConfig(epochs=1), prepared)
 
 
+def test_evaluate_on_a_dataset_with_another_channel_count_is_config_error():
+    prepared, _ = small_problem(channels=2)
+    _, config = small_problem(channels=1)
+    with pytest.raises(ConfigError, match="checkpoint expects 1 channels, dataset has 2"):
+        evaluate(FtMixerParams.initialize(config), config, prepared, "test")
+
+
 def test_evaluate_counts_every_window():
     prepared, config = small_problem()
     tc = TrainConfig(epochs=1, batch_size=32, seed=0)
@@ -217,6 +224,17 @@ def test_epoch_records_pre_clip_gradient_norms(clip_norm, share):
 ])
 def test_train_config_rejects_non_positive_clip_and_eval_batch(kwargs):
     with pytest.raises(ConfigError):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"epochs": 0}, "epochs must be >= 1"),
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    ({"patience": 0}, "patience must be >= 1"),
+    ({"ablation": "no_head"}, "unknown ablation 'no_head'"),
+], ids=["epochs", "batch_size", "patience", "ablation"])
+def test_train_config_rejects_counts_below_one_and_unknown_ablation(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
         TrainConfig(**kwargs)
 
 
