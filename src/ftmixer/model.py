@@ -21,10 +21,9 @@ The fixed maps in steps 2 and 3 (cosine bases, the banded matrices of
 the channel and bin convolutions) are folded into the learned matrices
 next to them: the global branch runs as ``idct(T_N(k) @ (x @ (F_L @ W)
 + b))`` and each local scale as ``patches @ ((I + F_w T_w(k)^T F_w^-1)
-@ E_w) + b_w``.  The parameters are the unfolded ones.  The blocks fetch
-these folds through ``FtMixerParams.fold``: a tracked set rebuilds them on
-every forward, the untracked ``FtMixerParams.frozen()`` set used for
-evaluation builds them once.
+@ E_w) + b_w``.  The parameters are the unfolded ones.  A tracked set
+rebuilds these folds on every forward; the untracked set that
+``FtMixerParams.frozen()`` makes for evaluation holds them, built once.
 
 On a frozen set the linear head of step 5 also folds into both branches,
 since everything after each branch's last nonlinearity is linear: the
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -202,17 +200,20 @@ class FtMixerParams:
         self.config = config
         self._order = list(spec)
         self._entries = entries
-        self._folds: dict[str, DiffArray] | None = None  # memo of a frozen set
-        self._fold_lock = threading.RLock()
+        self.folds: dict[str, DiffArray] | None = None  # a frozen set's, by key
 
     @classmethod
     def initialize(cls, config: ModelConfig) -> "FtMixerParams":
-        """Seeded uniform init in +-1/sqrt(fan_in) per layer."""
+        """Seeded uniform init in +-1/sqrt(fan_in) per layer; ConfigError
+        for a shape too large to allocate."""
         rng = np.random.default_rng(config.seed)
         entries = {}
         for name, (shape, fan_in) in parameter_shapes(config).items():
-            bound = 1.0 / np.sqrt(fan_in)
-            entries[name] = da.parameter(rng.uniform(-bound, bound, size=shape))
+            try:
+                bound = 1.0 / math.sqrt(fan_in)
+                entries[name] = da.parameter(rng.uniform(-bound, bound, size=shape))
+            except (ValueError, OverflowError, MemoryError) as exc:
+                raise ConfigError(f"parameter {name} of shape {shape}: {exc}") from None
         return cls(config, entries)
 
     def __getitem__(self, name: str) -> DiffArray:
@@ -229,17 +230,15 @@ class FtMixerParams:
 
         Nothing is copied, and no forward through the frozen set records a
         tape, so its intermediates are freed as soon as they are used.  The
-        set memoizes the fixed-map folds the blocks fetch through
-        :meth:`fold` (``T_N(k)`` of the global branch, each local scale's
-        patch map), built on first use.  Its forward also folds the head
-        into both branches (:attr:`is_frozen`), memoized the same way: the
-        global branch's ``F_L @ W @ F^-1 @ P`` and ``b @ F^-1 @ P``, the
-        local branch's ``W_ds @ P`` and ``b_ds @ P``.  Those folds are only
-        valid while the values stay as they were when the set was made, and
-        an optimizer step changes them in place; so build a frozen set for
-        one evaluation or prediction and never keep it.  Within that use,
-        threads may share the set: its forward only reads, and :meth:`fold`
-        builds each fold once however many threads ask for it first.
+        set is made with every fold its forward reads in :attr:`folds`
+        (:func:`_frozen_folds`), the head folded into both branches
+        included.  Both branches' folds are built whatever the ablation: a
+        set for ``no_fcc`` or ``no_wfc`` builds the other branch's too, at
+        the paper shape 24M or 17M multiply-adds (under 1 ms).  The folds
+        are only valid while the values stay as they were when the set was
+        made, and an optimizer step changes them in place; so build a
+        frozen set for one evaluation or prediction and never keep it.
+        Within that use, threads may share the set: nothing in it changes.
         """
         entries = {}
         for name in self._order:
@@ -247,7 +246,7 @@ class FtMixerParams:
             view.flags.writeable = False
             entries[name] = DiffArray(view)
         frozen = FtMixerParams(self.config, entries)
-        frozen._folds = {}
+        frozen.folds = _frozen_folds(frozen)
         return frozen
 
     def replica(self) -> "FtMixerParams":
@@ -263,24 +262,9 @@ class FtMixerParams:
 
     @property
     def is_frozen(self) -> bool:
-        """True for a set made by :meth:`frozen`: its forward folds the head
-        into both branches."""
-        return self._folds is not None
-
-    def fold(self, key: str, build) -> DiffArray:
-        """``build()``, memoized under ``key`` on a frozen set.
-
-        A tracked set builds on every call: its values change between
-        forwards, and the gradient flows through the fold to them.  On a
-        frozen set the lookup and the build hold a lock, so threads that
-        ask for one key at once get one build between them.
-        """
-        if self._folds is None:
-            return build()
-        with self._fold_lock:
-            if key not in self._folds:
-                self._folds[key] = build()
-            return self._folds[key]
+        """True for a set made by :meth:`frozen`: its blocks read the folds
+        in :attr:`folds`, the head folded into both branches."""
+        return self.folds is not None
 
 
 def save_checkpoint(path, params: FtMixerParams, extra_metadata: dict | None = None) -> None:
@@ -352,15 +336,36 @@ def revin_denormalize(y, state: RevinState) -> DiffArray:
 # network blocks
 
 
-def _fold_head(params: FtMixerParams, branch: str, weight, bias_row):
-    """``(weight() @ P, bias_row() @ P)`` with the head's ``P = pred_w``,
-    fetched through :meth:`FtMixerParams.fold` as ``{branch}_head_w`` and
-    ``{branch}_head_b``; ``bias_row()`` is [1, D_f]."""
+def _patch_map(params: FtMixerParams, scale: int) -> DiffArray:
+    """Local scale ``scale``'s [w, D_p] patch map ``(I + F_w T_w(k)^T
+    F_w^-1) @ E_w``."""
+    forward_basis, inverse_basis = spectral.basis_pair(scale)
+    bins = da.swapaxes(da.same_conv_matrix(params[f"wfc_conv_k_{scale}"], scale), 0, 1)
+    spectral_mix = da.matmul(da.matmul(forward_basis, bins), inverse_basis)
+    return da.matmul(da.add(np.eye(scale), spectral_mix), params[f"wfc_embed_w_{scale}"])
+
+
+def _frozen_folds(params: FtMixerParams) -> dict[str, DiffArray]:
+    """Every map a frozen forward reads, by key: ``T_N(k)``, each scale's
+    patch map, and each branch's share of the head ``P = pred_w`` (FCC's
+    ``F_L @ W @ F^-1 @ P`` and ``b @ F^-1 @ P``, the local branch's ``W_ds
+    @ P`` and ``b_ds @ P``, the biases as [1, tau] rows)."""
+    config = params.config
     pred_w = params["pred_w"]
-    return (
-        params.fold(f"{branch}_head_w", lambda: da.matmul(weight(), pred_w)),
-        params.fold(f"{branch}_head_b", lambda: da.matmul(bias_row(), pred_w)),
-    )
+    spectrum = spectral.basis_pair(config.lookback)[0]
+    inverse = spectral.basis_pair(config.fcc_embed_dim)[1]
+    folds = {
+        "fcc_across": da.same_conv_matrix(params["fcc_conv_k"], config.channels),
+        "fcc_head_w": da.matmul(da.matmul(da.matmul(
+            spectrum, params["fcc_embed_w"]), inverse), pred_w),
+        "fcc_head_b": da.matmul(da.matmul(da.reshape(
+            params["fcc_embed_b"], (1, -1)), inverse), pred_w),
+        "ds_head_w": da.matmul(params["ds_proj_w"], pred_w),
+        "ds_head_b": da.matmul(da.reshape(params["ds_proj_b"], (1, -1)), pred_w),
+    }
+    for w in config.patch_scales:
+        folds[f"wfc_patch_map_{w}"] = _patch_map(params, w)
+    return folds
 
 
 def fcc_forward(x, params: FtMixerParams, config: ModelConfig) -> DiffArray:
@@ -384,19 +389,12 @@ def fcc_forward(x, params: FtMixerParams, config: ModelConfig) -> DiffArray:
             f"fcc_forward: expected [..., {config.channels}, {config.lookback}], "
             f"got {x.shape}"
         )
-    across = params.fold("fcc_across", lambda: da.same_conv_matrix(
-        params["fcc_conv_k"], config.channels))
-    spectrum = spectral.basis_pair(config.lookback)[0]
     if params.is_frozen:
-        inverse = spectral.basis_pair(config.fcc_embed_dim)[1]
-        embed, bias = _fold_head(
-            params, "fcc",
-            lambda: da.matmul(da.matmul(spectrum, params["fcc_embed_w"]), inverse),
-            lambda: da.matmul(da.reshape(params["fcc_embed_b"], (1, -1)), inverse),
-        )
-        return da.matmul(across, da.matmul(x, embed, bias))
-    spectrum_embed = params.fold("fcc_spectrum_embed", lambda: da.matmul(
-        spectrum, params["fcc_embed_w"]))
+        folds = params.folds
+        return da.matmul(folds["fcc_across"],
+                         da.matmul(x, folds["fcc_head_w"], folds["fcc_head_b"]))
+    across = da.same_conv_matrix(params["fcc_conv_k"], config.channels)
+    spectrum_embed = da.matmul(spectral.basis_pair(config.lookback)[0], params["fcc_embed_w"])
     embedded = da.matmul(x, spectrum_embed, params["fcc_embed_b"])
     return spectral.idct(da.matmul(across, embedded))
 
@@ -416,21 +414,14 @@ def wfc_forward(x, params: FtMixerParams, scale: int) -> DiffArray:
     if length % scale:
         raise ConfigError(f"wfc_forward: scale {scale} does not divide length {length}")
     try:
-        kernel = params[f"wfc_conv_k_{scale}"]
-        embed_w = params[f"wfc_embed_w_{scale}"]
         embed_b = params[f"wfc_embed_b_{scale}"]
     except KeyError:
         raise ConfigError(f"wfc_forward: no parameters for scale {scale}") from None
-    n = length // scale
-    patches = da.reshape(x, x.shape[:-1] + (n, scale))
-
-    def build_patch_map():
-        forward_basis, inverse_basis = spectral.basis_pair(scale)
-        bins = da.swapaxes(da.same_conv_matrix(kernel, scale), 0, 1)  # T_w(k)^T
-        spectral_mix = da.matmul(da.matmul(forward_basis, bins), inverse_basis)
-        return da.matmul(da.add(np.eye(scale), spectral_mix), embed_w)
-
-    patch_map = params.fold(f"wfc_patch_map_{scale}", build_patch_map)
+    patches = da.reshape(x, x.shape[:-1] + (length // scale, scale))
+    if params.is_frozen:
+        patch_map = params.folds[f"wfc_patch_map_{scale}"]
+    else:
+        patch_map = _patch_map(params, scale)
     return da.matmul(patches, patch_map, embed_b)
 
 
@@ -458,12 +449,7 @@ def ds_conv(z, params: FtMixerParams, config: ModelConfig) -> DiffArray:
     flat_dim = n_tot * dp
     flat = da.reshape(mixed, mixed.shape[:-2] + (flat_dim,))
     if params.is_frozen:
-        proj, bias = _fold_head(
-            params, "ds",
-            lambda: params["ds_proj_w"],
-            lambda: da.reshape(params["ds_proj_b"], (1, -1)),
-        )
-        return da.matmul(flat, proj, bias)
+        return da.matmul(flat, params.folds["ds_head_w"], params.folds["ds_head_b"])
     return da.matmul(flat, params["ds_proj_w"], params["ds_proj_b"])
 
 

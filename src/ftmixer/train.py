@@ -226,9 +226,9 @@ def evaluate(
     """Stride-1 metrics over every window of a split, tail batch included.
 
     The forwards run on ``params.frozen()``: no tape is recorded and the
-    fixed-map folds are built once for the call.  The frozen set lives
-    for this call only, because an optimizer step between two calls
-    changes the values its folds were built from.
+    fixed-map folds are built once, when the frozen set is made.  The
+    frozen set lives for this call only, because an optimizer step between
+    two calls changes the values its folds were built from.
 
     ``batch_size`` windows are taken at a time, as views of the series
     (no copy; see :func:`~ftmixer.data.gather_batch`), and each batch is
@@ -238,7 +238,8 @@ def evaluate(
     Each block copies its own input rows (the forward's entry copy) and
     writes only its own rows of the batch's prediction, and the errors are
     summed per batch once every block is done, so the metrics are
-    bit-identical for any worker count.
+    bit-identical for any worker count.  A prediction that overflows (a
+    checkpoint with huge values, say) raises :class:`NumericError`.
     """
     if model_config.channels != dataset.channels:
         raise ConfigError(
@@ -261,17 +262,21 @@ def evaluate(
 
             def block(k):
                 lo = k * rows
-                pred[lo : lo + rows] = ftmixer_forward(
-                    batch.inputs[lo : lo + rows], frozen, model_config, ablation=ablation
-                ).values
+                with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                    pred[lo : lo + rows] = ftmixer_forward(
+                        batch.inputs[lo : lo + rows], frozen, model_config, ablation=ablation
+                    ).values
 
             blocks = -(-len(pred) // rows)
             list((map if min(workers, blocks) == 1 else pool.map)(block, range(blocks)))
             diff = pred
             diff -= batch.targets  # in place: the sums run over a C-ordered array
-            sq_sum += float(np.sum(diff * diff))
-            abs_sum += float(np.sum(np.abs(diff)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq_sum += float(np.sum(diff * diff))
+                abs_sum += float(np.sum(np.abs(diff)))
             elems += diff.size
+    if not np.isfinite(sq_sum):
+        raise NumericError(f"evaluate: non-finite squared error on the {split} split")
     return {
         "mse": sq_sum / elems,
         "mae": abs_sum / elems,
@@ -292,8 +297,9 @@ def _shard_step(params: FtMixerParams, inputs, targets, model_config: ModelConfi
     backward.  Only floats and gradients leave, so the graph dies in the
     thread that built it.
     """
-    prediction = ftmixer_forward(inputs, params, model_config, ablation=ablation)
-    loss = loss_metrics.dual_domain_loss(targets, prediction)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        prediction = ftmixer_forward(inputs, params, model_config, ablation=ablation)
+        loss = loss_metrics.dual_domain_loss(targets, prediction)
     if not np.isfinite(loss.total):
         raise NumericError("non-finite loss")
     if ablation == "no_freq_loss":

@@ -437,6 +437,29 @@ def test_eval_on_non_finite_checkpoint_exits_2(series_csv, tmp_path, capsys, bad
     assert "ftmixer: error: data:" in err and "fcc_embed_b" in err
 
 
+def test_eval_on_checkpoint_whose_prediction_overflows_exits_3(series_csv, tmp_path, capsys):
+    path = tmp_path / "checkpoint.ftm"
+    params = FtMixerParams.initialize(
+        ModelConfig(lookback=48, horizon=12, channels=2, patch_scales=(12, 24))
+    )
+    params["pred_w"].values[...] *= 1e200
+    save_checkpoint(path, params)
+    out = tmp_path / "run"
+    code = main(["eval", "--data", str(series_csv), "--output", str(out),
+                 "--checkpoint", str(path)])
+    assert code == 3
+    _single_error_line(capsys.readouterr().err, "numeric")
+    assert not (out / "metrics.json").exists()
+
+
+def test_model_too_large_to_allocate_exits_1(series_csv, tmp_path, capsys):
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[model]\nfcc_embed_dim = {10**30}\n", encoding="utf-8")
+    code = main(train_args(series_csv, tmp_path / "run", ["--config", str(cfg)]))
+    assert code == 1
+    _single_error_line(capsys.readouterr().err, "config")
+
+
 @pytest.mark.parametrize("train_config", ["full", {"ablation": "bogus"}])
 def test_eval_on_malformed_train_config_exits_2(series_csv, tmp_path, capsys, train_config):
     path = tmp_path / "checkpoint.ftm"

@@ -1,7 +1,5 @@
 """Network blocks: instance norm, both branches, mixer, full forward."""
 
-import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -494,7 +492,7 @@ def test_frozen_forward_matches_tracked(config, ablation):
     x = np.random.default_rng(39).standard_normal((5, config.channels, config.lookback))
     tracked_out = ftmixer_forward(DiffArray(x), params, config, ablation=ablation)
     frozen = params.frozen()
-    for _ in range(2):  # the second forward reads the memoized folds
+    for _ in range(2):  # a second forward reads the same folds
         out = ftmixer_forward(DiffArray(x), frozen, config, ablation=ablation)
         assert not out.requires_grad and out._parents == ()
         scale = np.max(np.abs(tracked_out.values))
@@ -528,6 +526,9 @@ def test_forward_on_a_strided_view_is_bitwise_the_contiguous_forward(monkeypatch
     assert layouts == [True] * 4  # the view is copied once, at the forward's entry
 
 
+HEAD_FOLDS = ["fcc_head_w", "fcc_head_b", "ds_head_w", "ds_head_b"]
+
+
 def test_frozen_set_is_read_only_untracked_and_memoizes():
     params = FtMixerParams.initialize(TINY)
     frozen = params.frozen()
@@ -536,17 +537,10 @@ def test_frozen_set_is_read_only_untracked_and_memoizes():
         assert np.shares_memory(frozen[name].values, params[name].values)
         with pytest.raises(ValueError):
             frozen[name].values[...] = 0.0
-    builds = []
-
-    def build():
-        builds.append(1)
-        return DiffArray(np.zeros(1))
-
-    assert frozen.fold("key", build) is frozen.fold("key", build)
-    assert len(builds) == 1
-    params.fold("key", build)
-    params.fold("key", build)
-    assert len(builds) == 3  # a tracked set builds on every call
+    assert sorted(frozen.folds) == sorted(
+        ["fcc_across", *HEAD_FOLDS] + [f"wfc_patch_map_{w}" for w in TINY.patch_scales])
+    assert all(not fold.requires_grad for fold in frozen.folds.values())
+    assert params.folds is None and params.replica().folds is None
 
 
 def test_replica_shares_values_and_keeps_its_own_gradients():
@@ -565,31 +559,6 @@ def test_replica_shares_values_and_keeps_its_own_gradients():
                  da.AdamState(learning_rate=1e-2))
     assert np.array_equal(ftmixer_forward(x, replica, TINY).values,
                           ftmixer_forward(x, params, TINY).values)
-
-
-def test_frozen_fold_is_built_once_under_concurrent_first_use():
-    frozen = FtMixerParams.initialize(TINY).frozen()
-    barrier = threading.Barrier(4)
-    builds = []
-    got = [None] * 4
-
-    def slow_build():
-        builds.append(1)
-        time.sleep(0.05)  # wide enough for the other threads to arrive
-        return DiffArray(np.zeros(1))
-
-    def first_use(i):
-        barrier.wait(timeout=10)
-        got[i] = frozen.fold("key", slow_build)
-
-    threads = [threading.Thread(target=first_use, args=(i,)) for i in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-    assert len(builds) == 1
-    assert all(value is got[0] for value in got)
 
 
 @pytest.mark.parametrize("config", [FULL, TINY, EVEN], ids=["full", "tiny", "even"])
@@ -614,41 +583,39 @@ def test_ds_conv_head_fold_matches_branch_then_head(config):
 
 
 def spy_on_folds(monkeypatch) -> list[str]:
-    """Patch FtMixerParams.fold to log the key of every fold it builds."""
+    """Patch model._frozen_folds to log the fold keys of every call."""
     built = []
-    original = FtMixerParams.fold
+    original = model_mod._frozen_folds
 
-    def fold(self, key, build):
-        def logged_build():
-            built.append(key)
-            return build()
+    def frozen_folds(params):
+        folds = original(params)
+        built.extend(folds)
+        return folds
 
-        return original(self, key, logged_build)
-
-    monkeypatch.setattr(FtMixerParams, "fold", fold)
+    monkeypatch.setattr(model_mod, "_frozen_folds", frozen_folds)
     return built
-
-
-HEAD_FOLDS = ["fcc_head_w", "fcc_head_b", "ds_head_w", "ds_head_b"]
 
 
 def test_frozen_forward_builds_each_head_fold_once(monkeypatch):
     params = FtMixerParams.initialize(TINY)
+    built = spy_on_folds(monkeypatch)
     frozen = params.frozen()
     assert frozen.is_frozen and not params.is_frozen
-    built = spy_on_folds(monkeypatch)
-    x = np.random.default_rng(42).standard_normal((2, TINY.channels, TINY.lookback))
-    for _ in range(2):
-        ftmixer_forward(DiffArray(x), frozen, TINY)
     assert sorted(k for k in built if "head" in k) == sorted(HEAD_FOLDS)
+    keys = list(built)
+    x = np.random.default_rng(42).standard_normal((2, TINY.channels, TINY.lookback))
+    for ablation in ("full", "no_fcc", "no_wfc"):
+        ftmixer_forward(DiffArray(x), frozen, TINY, ablation=ablation)
+    assert built == keys  # a frozen forward builds no fold
 
 
 def test_tracked_forward_requests_no_head_fold(monkeypatch):
     params = FtMixerParams.initialize(TINY)
     built = spy_on_folds(monkeypatch)
     x = np.random.default_rng(43).standard_normal((2, TINY.channels, TINY.lookback))
+    backward(da.reduce_sum(ftmixer_forward(DiffArray(x), params.replica(), TINY)))
     ftmixer_forward(DiffArray(x), params, TINY)
-    assert built and not [k for k in built if "head" in k]
+    assert built == []
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["tracked", "frozen"])
@@ -697,6 +664,14 @@ def test_every_parameter_gets_gradient():
         grad = params[name].grad
         assert grad is not None, name
         assert np.any(grad != 0.0), f"dead parameter {name}"
+
+
+@pytest.mark.parametrize("field", ["fcc_embed_dim", "patch_embed_dim", "fcc_kernel_size"])
+@pytest.mark.parametrize("size", [10**30, 2**63])
+def test_initialize_of_a_shape_too_large_to_allocate_is_config_error(field, size):
+    config = replace(TINY, **{field: size})
+    with pytest.raises(ConfigError, match="of shape"):
+        FtMixerParams.initialize(config)
 
 
 def test_init_determinism():

@@ -1,5 +1,7 @@
 """Transform pair: exactness, linearity, energy, oracle equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,32 @@ def test_transform_applies_along_last_axis():
     for i in range(3):
         for j in range(5):
             np.testing.assert_allclose(stacked[i, j], dct(x[i, j]), atol=1e-12)
+
+
+def test_long_ndarray_transform_matches_the_dense_basis():
+    length = 2000
+    x = np.random.default_rng(21).standard_normal((2, length))
+    n = np.arange(length, dtype=np.float64)
+    forward = np.cos(np.pi * np.outer(n + 0.5, n) / length)
+    weights = np.full(length, 2.0 / length)
+    weights[0] = 1.0 / length
+    inverse = weights[:, None] * np.cos(np.pi * np.outer(n, n + 0.5) / length)
+    for got, want in ((dct(x), x @ forward), (idct(x), x @ inverse)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_long_ndarray_transform_builds_no_dense_basis():
+    x = np.random.default_rng(22).standard_normal(3000)  # one basis is 72 MB
+    cached = spectral.basis_pair.cache_info().currsize
+    for transform in (dct, idct):
+        tracemalloc.start()
+        try:
+            transform(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+    assert spectral.basis_pair.cache_info().currsize == cached
 
 
 def test_diff_gradients_are_transpose_maps():

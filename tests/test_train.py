@@ -90,7 +90,23 @@ def test_report_metrics_come_from_best_checkpoint(tmp_path):
     assert again["mae"] == report.test_mae
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("learning_rate", [1e30, 1e100, 1e308])
+def test_learning_rate_that_overflows_the_forward_is_numeric_error(learning_rate):
+    prepared, config = small_problem()
+    tc = TrainConfig(epochs=1, batch_size=16, learning_rate=learning_rate, seed=0)
+    with pytest.raises(NumericError, match="epoch 0"):  # and no overflow warning
+        train(config, tc, prepared)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_evaluate_of_a_prediction_that_overflows_is_numeric_error(scale):
+    prepared, config = small_problem()
+    params = FtMixerParams.initialize(config)
+    params["pred_w"].values[...] *= scale
+    with pytest.raises(NumericError, match="non-finite squared error on the test split"):
+        evaluate(params, config, prepared, "test")
+
+
 def test_nan_loss_aborts_with_diagnostic():
     prepared, config = small_problem()
     tc = TrainConfig(epochs=3, batch_size=32, learning_rate=1e200, seed=0)
@@ -108,8 +124,7 @@ def test_non_finite_loss_aborts_before_backward(monkeypatch):
 
     monkeypatch.setattr(train_mod, "ftmixer_forward", forward)
     monkeypatch.setattr(da, "backward", lambda *args: pytest.fail("backward ran"))
-    with np.errstate(over="ignore"), pytest.raises(
-            NumericError, match=r"epoch 0, sample offset 0: non-finite loss"):
+    with pytest.raises(NumericError, match=r"epoch 0, sample offset 0: non-finite loss"):
         train(config, TrainConfig(epochs=1, batch_size=32, seed=0), prepared)
 
 
