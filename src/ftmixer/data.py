@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ContractError, DataError, ParseError
+from .errors import ConfigError, ContractError, DataError, NumericError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -219,6 +219,14 @@ def from_values(values: np.ndarray, name: str = "series") -> SeriesDataset:
     )
 
 
+def _require_finite(ds: SeriesDataset, finite: np.ndarray, what: str) -> None:
+    """Raise the :class:`NumericError` naming each channel of ``ds`` whose
+    ``finite`` entry is False: finite values whose ``what`` overflows."""
+    if not np.all(finite):
+        names = [ds.channel_names[i] for i in np.flatnonzero(~finite)]
+        raise NumericError(f"{what} of channels {names} overflow float64")
+
+
 def chronological_split(
     ds: SeriesDataset,
     ratios: tuple[float, float, float],
@@ -228,7 +236,8 @@ def chronological_split(
 
     The remainder after flooring train/val goes to test.  When
     ``min_segment`` is given (normally L + tau), every segment must be at
-    least that long.
+    least that long.  Finite values whose training mean or std overflows
+    float64 raise :class:`NumericError`.
     """
     if (len(ratios) != 3 or not np.all(np.isfinite(ratios))
             or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0):
@@ -252,8 +261,10 @@ def chronological_split(
                     f"{split} segment has {hi - lo} steps, need >= {min_segment}"
                 )
     train = ds.values[:, :train_end]
-    mean = train.mean(axis=1)
-    std = train.std(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=1)
+        std = train.std(axis=1)
+    _require_finite(ds, np.isfinite(mean) & np.isfinite(std), "training mean or std")
     flat = std <= 0.0
     if np.any(flat):
         names = [ds.channel_names[i] for i in np.flatnonzero(flat)]
@@ -265,11 +276,14 @@ def chronological_split(
 
 
 def standardize(ds: SeriesDataset) -> SeriesDataset:
-    """Standardize every timestep with the train-split statistics."""
+    """Standardize every timestep with the train-split statistics; raise
+    :class:`NumericError` where a standardized value overflows float64."""
     if ds.norm_stats is None:
         raise ContractError("standardize: dataset has no training statistics")
     stats = ds.norm_stats
-    values = (ds.values - stats.mean[:, None]) / stats.std[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (ds.values - stats.mean[:, None]) / stats.std[:, None]
+    _require_finite(ds, np.isfinite(values).all(axis=1), "standardized values")
     return replace(ds, values=values)
 
 

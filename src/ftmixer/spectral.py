@@ -8,18 +8,11 @@ Inverse (type-III kernel, scaled so the pair is an exact identity):
 
     x_n = (2/L) * [ c_0 / 2 + sum_{k=1}^{L-1} c_k * cos(pi * k * (n + 1/2) / L) ]
 
-All transforms are plain matrix applications against a cosine basis;
-the model's lengths stay small enough that an O(L^2) product beats a
-fast-transform code path and keeps gradients trivially exact.
-
-:func:`dct` and :func:`idct` accept ndarrays, or
-:class:`~ftmixer.diffarray.DiffArray` values of at least 2 dims, and apply
-the transform along the last axis.  A DiffArray input joins the
-computation graph as a fixed linear map against the cached basis of
-:func:`basis_pair`, which the model also folds into its learned matrices.
-An ndarray, which may be a whole series, is transformed in column blocks
-of the basis built as they are used, so it needs neither an L x L matrix
-nor the cache.
+:func:`dct` and :func:`idct` transform the last axis of an ndarray or of a
+:class:`~ftmixer.diffarray.DiffArray` of at least 2 dims.  A DiffArray
+uses the cached dense basis of :func:`basis_pair`, which the model folds
+into its learned matrices and runs as a GEMM.  An ndarray, which may be a
+whole series, uses one length-L FFT (Makhoul, IEEE TASSP 1980).
 """
 
 from __future__ import annotations
@@ -34,58 +27,55 @@ from .errors import ContractError, NumericError
 Array = np.ndarray
 
 
-# bytes of one basis block of an ndarray transform: a whole series (17,420
-# steps for ETTh1) then needs a few MiB, where one dense basis needs 2.4 GB
-BLOCK_BYTES = 1 << 21
-
-
-def _basis_columns(length: int, which: int, columns: slice) -> Array:
-    """Columns ``columns`` of the forward (``which`` 0, [n, k]) or inverse
-    (1, [k, n]) basis of ``length``."""
-    grid = np.arange(length, dtype=np.float64)
-    if which == 0:
-        return np.cos(np.pi * np.outer(grid + 0.5, grid[columns]) / length)
-    weights = np.full(length, 2.0 / length)
-    weights[0] = 1.0 / length
-    return weights[:, None] * np.cos(np.pi * np.outer(grid, grid[columns] + 0.5) / length)
-
-
 @lru_cache(maxsize=16)
 def basis_pair(length: int) -> tuple[Array, Array]:
     """(forward, inverse) bases; y = x @ forward, x = y @ inverse."""
-    pair = tuple(_basis_columns(length, which, slice(None)) for which in (0, 1))
+    grid = np.arange(length, dtype=np.float64)
+    weights = np.full(length, 2.0 / length)
+    weights[0] = 1.0 / length
+    pair = (np.cos(np.pi * np.outer(grid + 0.5, grid) / length),
+            weights[:, None] * np.cos(np.pi * np.outer(grid, grid + 0.5) / length))
     for basis in pair:
         basis.setflags(write=False)
     return pair
 
 
-def _validate(values: Array, op: str) -> None:
+def _fft_transform(x: Array, inverse: bool) -> Array:
+    """Makhoul's form: the samples, evens first and then odds reversed,
+    are one FFT and a twiddle away from the coefficients."""
+    length = x.shape[-1]
+    order = np.concatenate((np.arange(0, length, 2), np.arange(1, length, 2)[::-1]))
+    twiddle = np.exp(-0.5j * np.pi * np.arange(length) / length)
+    if not inverse:
+        return (twiddle * np.fft.fft(x[..., order])).real
+    mirrored = np.zeros_like(x)
+    mirrored[..., 1:] = x[..., :0:-1]  # c_{L-k}, with c_L = 0
+    out = np.empty_like(x)
+    out[..., order] = np.fft.ifft(twiddle.conj() * (x - 1j * mirrored)).real
+    return out
+
+
+def _transform(x, inverse: bool, op: str):
+    tracked = isinstance(x, da.DiffArray)
+    values = x.values if tracked else np.asarray(x, dtype=np.float64)
     if values.ndim == 0 or values.shape[-1] == 0:
         raise ContractError(f"{op}: input must have at least one sample")
     if not np.all(np.isfinite(values)):
         raise NumericError(f"{op}: input contains non-finite values")
-
-
-def _apply_basis(x, which: int, op: str):
-    if isinstance(x, da.DiffArray):
-        _validate(x.values, op)
-        return da.matmul(x, basis_pair(x.shape[-1])[which])
-    arr = np.asarray(x, dtype=np.float64)
-    _validate(arr, op)
-    length = arr.shape[-1]
-    out = np.empty(arr.shape)
-    step = max(1, BLOCK_BYTES // (8 * length))
-    for start in range(0, length, step):
-        columns = slice(start, start + step)
-        out[..., columns] = arr @ _basis_columns(length, which, columns)
+    if tracked:
+        return da.matmul(x, basis_pair(x.shape[-1])[inverse])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _fft_transform(values, inverse)
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"{op}: transform overflows float64")
     return out
 
 
 def dct(x):
     """Cosine-transform coefficients of ``x`` along its last axis."""
-    return _apply_basis(x, 0, "dct")
+    return _transform(x, False, "dct")
 
 
 def idct(c):
     """Inverse transform along the last axis; idct(dct(x)) == x."""
-    return _apply_basis(c, 1, "idct")
+    return _transform(c, True, "idct")

@@ -12,6 +12,7 @@ import pytest
 from ftmixer import cli
 from ftmixer.cli import main
 from ftmixer.model import FtMixerParams, ModelConfig, save_checkpoint
+from ftmixer.spectral import basis_pair
 from ftmixer.train import TrainConfig
 
 from helpers import sinusoid_dataset
@@ -239,6 +240,53 @@ def test_spectrum_row_count(series_csv, tmp_path):
     coefficients = np.array([float(r[1]) for r in rows])
     window = sinusoid_dataset(steps=400, period=24.0, channels=2).values[0, :48]
     assert np.max(np.abs(idct(coefficients) - window)) < 1e-9
+
+
+@pytest.mark.parametrize("length", [1, 47], ids=["one_sample", "odd_length"])
+def test_spectrum_of_one_sample_or_an_odd_window(series_csv, tmp_path, length):
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--data", str(series_csv), "--output", str(out),
+                 "--channel", "1", "--start", "5", "--len", str(length)]) == 0
+    _, _, rows = read_artifact_csv(out / "spectrum.csv")
+    coefficients = np.array([float(r[1]) for r in rows])
+    window = sinusoid_dataset(steps=400, period=24.0, channels=2).values[1, 5 : 5 + length]
+    want = window @ basis_pair(length)[0]
+    assert np.max(np.abs(coefficients - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_spectrum_whose_transform_overflows_exits_3(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    values = [1.5e308, 1.7e308] * 8  # finite, but their sums are not
+    path.write_text("date,a\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(values)),
+                    encoding="utf-8")
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--data", str(path), "--output", str(out), "--len", "16"]) == 3
+    _single_error_line(capsys.readouterr().err, "numeric")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "sweep"])
+def test_finite_data_whose_statistics_overflow_exits_3(tmp_path, capsys, command):
+    t = np.arange(200)
+    a = 1.5e308 * (0.5 + 0.5 * np.sin(t))
+    path = tmp_path / "huge.csv"
+    path.write_text("date,a,b\n" + "".join(
+        f"{i},{float(a[i])!r},{float(np.cos(i))!r}\n" for i in t), encoding="utf-8")
+    checkpoint = tmp_path / "checkpoint.ftm"
+    config = ModelConfig(lookback=24, horizon=6, channels=2, patch_scales=(6, 12))
+    save_checkpoint(checkpoint, FtMixerParams.initialize(config))
+    argv = {
+        "train": ["--lookback", "24", "--horizon", "6", "--epochs", "1"],
+        "eval": ["--checkpoint", str(checkpoint)],
+        "predict": ["--checkpoint", str(checkpoint)],
+        "sweep": ["--lengths", "24", "--horizon", "6", "--epochs", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, "--data", str(path), "--output", str(out), *argv]) == 3
+    err = capsys.readouterr().err
+    _single_error_line(err, "numeric")
+    assert "training mean or std of channels ['a']" in err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_spectrum_out_of_range_exits_1(series_csv, tmp_path):

@@ -18,7 +18,7 @@ from ftmixer.data import (
     standardize,
     window_samples,
 )
-from ftmixer.errors import ConfigError, ContractError, DataError, ParseError
+from ftmixer.errors import ConfigError, ContractError, DataError, NumericError, ParseError
 
 
 def write_csv(path, header, rows):
@@ -470,6 +470,19 @@ def test_constant_channel_standardizes_to_zero(caplog):
     assert any("clamped" in rec.message for rec in caplog.records)
     std_ds = standardize(split)
     np.testing.assert_allclose(std_ds.values[0, : split.train_end], 0.0, atol=1e-12)
+
+
+def test_statistics_or_standardized_values_that_overflow_raise_numeric_error():
+    t = np.arange(200, dtype=float)
+    # finite values whose training mean and std overflow float64
+    huge = np.vstack([np.sin(t), 1.5e308 * (0.5 + 0.5 * np.sin(t))])
+    with pytest.raises(NumericError, match=r"training mean or std of channels \['ch1'\]"):
+        chronological_split(from_values(huge), (0.6, 0.2, 0.2))
+    # finite statistics, but test rows far outside the training range
+    far = np.vstack([np.where(t < 160, 1e-3 * np.sin(t), 1e308), np.sin(t)])
+    split = chronological_split(from_values(far), (0.6, 0.2, 0.2))
+    with pytest.raises(NumericError, match=r"standardized values of channels \['ch0'\]"):
+        standardize(split)
 
 
 def test_window_counts():

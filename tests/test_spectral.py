@@ -89,16 +89,33 @@ def test_transform_applies_along_last_axis():
             np.testing.assert_allclose(stacked[i, j], dct(x[i, j]), atol=1e-12)
 
 
-def test_long_ndarray_transform_matches_the_dense_basis():
-    length = 2000
-    x = np.random.default_rng(21).standard_normal((2, length))
-    n = np.arange(length, dtype=np.float64)
-    forward = np.cos(np.pi * np.outer(n + 0.5, n) / length)
+def exact_basis_pair(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, inverse) bases with the cosine argument reduced in
+    integers, cos(pi * ((2n+1)k mod 4L) / (2L)): each entry is then within
+    an ulp or two, where the model's closed form rounds pi * (n + 1/2) * k
+    and is off by ~2e-13 at L = 336."""
+    n = np.arange(length)
+    phase = np.outer(2 * n + 1, n) % (4 * length)  # [n, k]
+    forward = np.cos(np.pi * phase / (2 * length))
     weights = np.full(length, 2.0 / length)
     weights[0] = 1.0 / length
-    inverse = weights[:, None] * np.cos(np.pi * np.outer(n, n + 0.5) / length)
-    for got, want in ((dct(x), x @ forward), (idct(x), x @ inverse)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    return forward, weights[:, None] * forward.T
+
+
+def test_long_ndarray_transform_matches_the_dense_basis():
+    for length in (1, 2, 3, 7, 336, 2000):
+        x = np.random.default_rng(21).standard_normal((2, length))
+        for forward, inverse, tol in ((*spectral.basis_pair(length), 1e-12),
+                                      (*exact_basis_pair(length), 1e-14)):
+            for got, want in ((dct(x), x @ forward), (idct(x), x @ inverse)):
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= tol, (length, tol, err)
+
+
+def test_transform_that_overflows_float64_raises_numeric_error():
+    for transform in (dct, idct):
+        with pytest.raises(NumericError, match="overflows"):
+            transform(np.full(16, 1.5e308))
 
 
 def test_long_ndarray_transform_builds_no_dense_basis():
